@@ -1,21 +1,19 @@
-// Command benchgate compares a freshly measured benchmark JSON file against
-// the committed baseline and fails (exit 1) when any scale-invariant metric
-// regressed by more than the threshold.
+// Command benchgate compares freshly measured oracle-failover samples
+// (remus-bench -oracle-failover) against the committed BENCH_failover.json
+// baseline and fails (exit 1) when any gated metric regressed past its
+// tolerance.
 //
-// CI machines are not the machines the baselines were measured on, so raw
-// throughput numbers are useless for gating. The gate therefore only compares
-// per-transaction ratios (GTS messages/txn, WAL syncs/txn, replication
-// messages/txn) and within-run speedups (lease/epoch point vs the per-request
-// point, group shipping vs group=1) — both dimensionless and stable across
-// hardware.
+//	benchgate -baseline BENCH_failover.json -current /tmp/f1.json,/tmp/f2.json,/tmp/f3.json
 //
-//	benchgate -kind clock -baseline BENCH_clock.json -current /tmp/c1.json,/tmp/c2.json,/tmp/c3.json
-//	benchgate -kind repl  -baseline BENCH_repl.json  -current /tmp/BENCH_repl.json
+// The unavailability and stall windows are wall-clock milliseconds dominated
+// by the configured detection budget (heartbeat × misses), not by machine
+// speed, so they gate on absolute tolerances sized to scheduler noise; the
+// failover count is exact.
 //
 // -current takes one or more comma-separated sample files (benchstat-style:
 // the CI job measures several times). Each metric is gated on its best sample
 // — noise on a shared runner only ever makes a sample worse, so a point that
-// never reaches within the threshold of baseline across all samples is a real
+// never reaches within tolerance of baseline across all samples is a real
 // regression, while one good sample clears a noisy run.
 //
 // The verdict table is printed to stdout and, when $GITHUB_STEP_SUMMARY is
@@ -25,33 +23,24 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 )
 
-// metric is one gated column: extract pulls the value out of a run object
-// (ok=false when the run lacks the fields), and higherBetter sets the
-// regression direction.
+// metric is one gated JSON field: higherBetter sets the regression direction
+// and absTol the absolute slack allowed past the baseline.
 type metric struct {
 	name         string
 	higherBetter bool
-	// absTol, when non-zero, gates on an absolute tolerance instead of the
-	// relative threshold. Needed for metrics whose baseline is legitimately
-	// zero (e.g. source scans per tuple under checkpoint shipping), where a
-	// relative gate would have nothing to compare against.
-	absTol  float64
-	extract func(run map[string]any) (float64, bool)
+	absTol       float64
 }
 
-// kindSpec describes one benchmark file format: how to identify a sweep point
-// (so baseline and current rows are matched even if the sweep grows) and
-// which metrics to gate.
-type kindSpec struct {
-	pointKey func(run map[string]any) string
-	metrics  []metric
+var metrics = []metric{
+	{name: "unavail_ms", absTol: 100},
+	{name: "stall_ms", absTol: 150},
+	{name: "failovers", higherBetter: true, absTol: 0.25},
 }
 
 func field(run map[string]any, key string) (float64, bool) {
@@ -59,106 +48,13 @@ func field(run map[string]any, key string) (float64, bool) {
 	return v, ok
 }
 
-func ratio(num, den string) func(map[string]any) (float64, bool) {
-	return func(run map[string]any) (float64, bool) {
-		n, ok1 := field(run, num)
-		d, ok2 := field(run, den)
-		if !ok1 || !ok2 || d == 0 {
-			return 0, false
-		}
-		return n / d, true
-	}
-}
-
-var kinds = map[string]kindSpec{
-	// BENCH_clock.json: the timestamp-oracle sweep. gts_msgs_per_txn is the
-	// headline metric the leased oracle exists to shrink.
-	"clock": {
-		pointKey: func(run map[string]any) string {
-			l, _ := field(run, "lease")
-			e, _ := field(run, "epoch_txns")
-			return fmt.Sprintf("lease=%.0f/epoch=%.0f", l, e)
-		},
-		metrics: []metric{
-			{name: "gts_msgs_per_txn", higherBetter: false,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "gts_msgs_per_txn") }},
-			{name: "wal_syncs_per_txn", higherBetter: false,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "wal_syncs_per_txn") }},
-			{name: "speedup_vs_base", higherBetter: true,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "speedup_vs_base") }},
-		},
-	},
-	// BENCH_repl.json: the group-shipping sweep. messages/txns is computed
-	// here because the file stores the raw counts.
-	"repl": {
-		pointKey: func(run map[string]any) string {
-			g, _ := field(run, "group_txns")
-			return fmt.Sprintf("group=%.0f", g)
-		},
-		metrics: []metric{
-			{name: "msgs_per_txn", higherBetter: false, extract: ratio("messages", "txns")},
-			{name: "speedup_vs_group1", higherBetter: true,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "speedup_vs_group1") }},
-		},
-	},
-	// BENCH_failover.json: the oracle failover sweep. The unavailability and
-	// stall windows are wall-clock milliseconds dominated by the configured
-	// detection budget (heartbeat × misses), not by machine speed, so they
-	// gate on absolute tolerances sized to scheduler noise; the failover
-	// count is exact.
-	"failover": {
-		pointKey: func(run map[string]any) string {
-			hb, _ := field(run, "heartbeat_ms")
-			m, _ := field(run, "misses")
-			l, _ := field(run, "lease")
-			return fmt.Sprintf("hb=%.1fms/misses=%.0f/lease=%.0f", hb, m, l)
-		},
-		metrics: []metric{
-			{name: "unavail_ms", higherBetter: false, absTol: 100,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "unavail_ms") }},
-			{name: "stall_ms", higherBetter: false, absTol: 150,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "stall_ms") }},
-			{name: "failovers", higherBetter: true, absTol: 0.25,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "failovers") }},
-		},
-	},
-	// BENCH_txn.json: the foreground hot-path multi-core sweep. Throughput
-	// and speedup-vs-1-worker depend on the runner's core count (CI boxes
-	// are often single-core), so only the machine-invariant metrics gate:
-	// allocations per statement and the lock-free resolve fraction. The
-	// fraction's baseline is ~1.0 and legitimately cannot exceed it, so it
-	// gates on a small absolute tolerance.
-	"txn": {
-		pointKey: func(run map[string]any) string {
-			m, _ := run["mix"].(string)
-			w, _ := field(run, "workers")
-			return fmt.Sprintf("mix=%s/w=%.0f", m, w)
-		},
-		metrics: []metric{
-			{name: "mallocs_per_op", higherBetter: false,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "mallocs_per_op") }},
-			{name: "lockfree_resolve_fraction", higherBetter: true, absTol: 0.05,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "lockfree_resolve_fraction") }},
-		},
-	},
-	// BENCH_storage.json: the initial-copy pair (live vs checkpoint
-	// shipping). Both gated metrics are per-tuple and deterministic on any
-	// hardware; wall-clock speedup is informational only (an in-memory scan
-	// and a file read trade places depending on the runner's disk).
-	"storage": {
-		pointKey: func(run map[string]any) string {
-			m, _ := run["mode"].(string)
-			return "mode=" + m
-		},
-		metrics: []metric{
-			// The headline: checkpoint shipping must keep the source's live
-			// version-chain scans at zero, and the live path at one per tuple.
-			{name: "src_scan_per_tuple", higherBetter: false, absTol: 0.05,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "src_scan_per_tuple") }},
-			{name: "bytes_per_tuple", higherBetter: false,
-				extract: func(r map[string]any) (float64, bool) { return field(r, "bytes_per_tuple") }},
-		},
-	},
+// pointKey identifies a sweep point, so baseline and current rows are
+// matched even if the sweep grows.
+func pointKey(run map[string]any) string {
+	hb, _ := field(run, "heartbeat_ms")
+	m, _ := field(run, "misses")
+	l, _ := field(run, "lease")
+	return fmt.Sprintf("hb=%.1fms/misses=%.0f/lease=%.0f", hb, m, l)
 }
 
 func loadRuns(path string) ([]map[string]any, error) {
@@ -177,35 +73,36 @@ func loadRuns(path string) ([]map[string]any, error) {
 }
 
 type row struct {
-	point, metric      string
-	baseline, current  float64
-	deltaPct           float64
-	regressed, skipped bool
+	point, metric     string
+	baseline, current float64
+	deltaPct          float64
+	regressed         bool
 }
 
 // compare gates each baseline point against the best of the current samples
-// for every metric.
-func compare(spec kindSpec, baseline []map[string]any, samples [][]map[string]any, threshold float64) []row {
+// for every metric. A point or metric missing from the current samples is a
+// regression.
+func compare(baseline []map[string]any, samples [][]map[string]any) []row {
 	curByPoint := make(map[string][]map[string]any)
 	for _, sample := range samples {
 		for _, run := range sample {
-			key := spec.pointKey(run)
+			key := pointKey(run)
 			curByPoint[key] = append(curByPoint[key], run)
 		}
 	}
 	var rows []row
 	for _, base := range baseline {
-		point := spec.pointKey(base)
+		point := pointKey(base)
 		curs := curByPoint[point]
 		if len(curs) == 0 {
 			rows = append(rows, row{point: point, metric: "(point missing from current run)", regressed: true})
 			continue
 		}
-		for _, m := range spec.metrics {
-			bv, okBase := m.extract(base)
+		for _, m := range metrics {
+			bv, okBase := field(base, m.name)
 			cv, okCur := 0.0, false
 			for _, cur := range curs {
-				v, ok := m.extract(cur)
+				v, ok := field(cur, m.name)
 				if !ok {
 					continue
 				}
@@ -216,25 +113,15 @@ func compare(spec kindSpec, baseline []map[string]any, samples [][]map[string]an
 			r := row{point: point, metric: m.name, baseline: bv, current: cv}
 			switch {
 			case !okBase || !okCur:
-				r.skipped = true // metric absent on one side (older baseline); not a failure
-			case m.absTol > 0:
-				if bv != 0 {
-					r.deltaPct = 100 * (cv - bv) / bv
-				}
-				if m.higherBetter {
-					r.regressed = cv < bv-m.absTol
-				} else {
-					r.regressed = cv > bv+m.absTol
-				}
-			case bv == 0:
-				r.skipped = true
+				r.metric += " (missing)"
+				r.regressed = true
+			case m.higherBetter:
+				r.regressed = cv < bv-m.absTol
 			default:
+				r.regressed = cv > bv+m.absTol
+			}
+			if bv != 0 && okBase && okCur {
 				r.deltaPct = 100 * (cv - bv) / bv
-				if m.higherBetter {
-					r.regressed = cv < bv*(1-threshold)
-				} else {
-					r.regressed = cv > bv*(1+threshold)
-				}
 			}
 			rows = append(rows, r)
 		}
@@ -242,28 +129,15 @@ func compare(spec kindSpec, baseline []map[string]any, samples [][]map[string]an
 	return rows
 }
 
-// regenFlag maps each gate kind to the remus-bench flag that regenerates its
-// baseline (printed in the failure hint).
-var regenFlag = map[string]string{
-	"clock":    "-clock-bench",
-	"repl":     "-repl-bench",
-	"storage":  "-ckpt-bench",
-	"failover": "-oracle-failover",
-	"txn":      "-txn-bench",
-}
-
-func renderMarkdown(kind string, rows []row, threshold float64, samples int) (string, bool) {
+func renderMarkdown(rows []row, samples int) (string, bool) {
 	var b strings.Builder
 	failed := false
-	fmt.Fprintf(&b, "### bench gate: %s (threshold ±%.0f%%, best of %d samples)\n\n", kind, 100*threshold, samples)
+	fmt.Fprintf(&b, "### bench gate: failover (absolute tolerances, best of %d samples)\n\n", samples)
 	b.WriteString("| point | metric | baseline | current | delta | verdict |\n")
 	b.WriteString("|---|---|---:|---:|---:|---|\n")
 	for _, r := range rows {
 		verdict := "ok"
-		switch {
-		case r.skipped:
-			verdict = "skipped"
-		case r.regressed:
+		if r.regressed {
 			verdict = "**REGRESSED**"
 			failed = true
 		}
@@ -271,35 +145,19 @@ func renderMarkdown(kind string, rows []row, threshold float64, samples int) (st
 			r.point, r.metric, r.baseline, r.current, r.deltaPct, verdict)
 	}
 	if failed {
-		fmt.Fprintf(&b, "\nA metric moved past the ±%.0f%% gate. If the regression is intended "+
-			"(protocol change, re-tuned sweep), regenerate the baseline with "+
-			"`go run ./cmd/remus-bench %s` and commit the new BENCH_%s.json.\n",
-			100*threshold, regenFlag[kind], kind)
+		b.WriteString("\nA metric moved past its tolerance. If the regression is intended " +
+			"(protocol change, re-tuned sweep), regenerate the baseline with " +
+			"`go run ./cmd/remus-bench -oracle-failover` and commit the new BENCH_failover.json.\n")
 	}
 	return b.String(), failed
 }
 
 func main() {
-	kind := flag.String("kind", "", "benchmark format: clock|repl|storage|failover|txn")
-	baselinePath := flag.String("baseline", "", "committed baseline JSON")
+	baselinePath := flag.String("baseline", "BENCH_failover.json", "committed baseline JSON")
 	currentPaths := flag.String("current", "", "freshly measured JSON sample file(s), comma-separated")
-	threshold := flag.Float64("threshold", 0.20, "relative regression tolerance")
 	flag.Parse()
 
-	spec, ok := kinds[*kind]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchgate: unknown -kind %q (want clock, repl, storage, failover or txn)\n", *kind)
-		os.Exit(2)
-	}
 	baseline, err := loadRuns(*baselinePath)
-	if errors.Is(err, os.ErrNotExist) {
-		// A missing baseline means the sweep has never been committed — there
-		// is nothing to regress against. Skipping cleanly (exit 0) lets CI
-		// add the measurement step before the first baseline lands.
-		fmt.Printf("bench gate: %s skipped — no committed baseline at %s.\n", *kind, *baselinePath)
-		fmt.Printf("Generate one with `go run ./cmd/remus-bench` and commit it to arm the gate.\n")
-		return
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
 		os.Exit(2)
@@ -321,8 +179,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	rows := compare(spec, baseline, samples, *threshold)
-	md, failed := renderMarkdown(*kind, rows, *threshold, len(samples))
+	rows := compare(baseline, samples)
+	md, failed := renderMarkdown(rows, len(samples))
 	fmt.Print(md)
 	if summary := os.Getenv("GITHUB_STEP_SUMMARY"); summary != "" {
 		f, err := os.OpenFile(summary, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -45,21 +45,9 @@ func realMain() error {
 	faultDrop := flag.Float64("fault-drop", 0.02, "per-message drop probability for -exp faults")
 	faultPartition := flag.Duration("fault-partition", 120*time.Millisecond, "src<->dst partition window for -exp faults (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-plane rng seed for -exp faults (replays a run exactly)")
-	replBench := flag.Bool("repl-bench", false, "run the replication hot-path microbenchmark (group shipping sweep) instead of the paper experiments")
-	replOut := flag.String("repl-out", "BENCH_repl.json", "output file for -repl-bench results")
-	replMsgCost := flag.Duration("repl-msgcost", 10*time.Microsecond, "per-message interconnect cost charged to each shipped batch in -repl-bench")
-	clockBench := flag.Bool("clock-bench", false, "run the timestamp-oracle microbenchmark (lease/epoch sweep on a GTS cluster) instead of the paper experiments")
-	clockOut := flag.String("clock-out", "BENCH_clock.json", "output file for -clock-bench results")
-	clockDur := flag.Duration("clock-dur", 0, "measured window per -clock-bench point (0 uses the default)")
 	failoverBench := flag.Bool("oracle-failover", false, "run the oracle failover benchmark (kill the primary GTS mid-run, measure the unavailability window) instead of the paper experiments")
 	failoverOut := flag.String("failover-out", "BENCH_failover.json", "output file for -oracle-failover results")
 	failoverDur := flag.Duration("failover-dur", 0, "measured window per -oracle-failover point (0 uses the default)")
-	txnBench := flag.Bool("txn-bench", false, "run the foreground hot-path multi-core scaling sweep (1..max(8,GOMAXPROCS) workers, read-mostly and write-heavy mixes on one node) instead of the paper experiments")
-	txnOut := flag.String("txn-out", "BENCH_txn.json", "output file for -txn-bench results")
-	txnDur := flag.Duration("txn-dur", 0, "measured window per -txn-bench point (0 uses the default)")
-	ckptBench := flag.Bool("ckpt-bench", false, "run the initial-copy microbenchmark (live version-chain copy vs checkpoint-file shipping) instead of the paper experiments")
-	storageOut := flag.String("storage-out", "BENCH_storage.json", "output file for -ckpt-bench results")
-	storageDir := flag.String("storage-dir", "", "root for -ckpt-bench WAL/checkpoint directories (\"\" uses the system temp dir; each run removes its own subdirectory)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -90,20 +78,8 @@ func realMain() error {
 		}()
 	}
 
-	if *replBench {
-		return runReplBench(*replOut, *replMsgCost)
-	}
-	if *clockBench {
-		return runClockBench(*clockOut, *clockDur)
-	}
 	if *failoverBench {
 		return runFailoverBench(*failoverOut, *failoverDur)
-	}
-	if *ckptBench {
-		return runCkptBench(*storageOut, *storageDir)
-	}
-	if *txnBench {
-		return runTxnBench(*txnOut, *txnDur)
 	}
 
 	r := &runner{
@@ -130,61 +106,6 @@ func realMain() error {
 	return nil
 }
 
-// runReplBench sweeps the group shipper over the configured group sizes and
-// writes the measurements as JSON.
-func runReplBench(out string, msgCost time.Duration) error {
-	cfg := bench.DefaultReplBenchConfig()
-	cfg.Net.PerMsgCost = msgCost
-	fmt.Printf("repl hot path: %d txns x %d records, per-message cost %v\n",
-		cfg.Txns, cfg.RecordsPerTxn, cfg.Net.PerMsgCost)
-	runs, err := bench.RunReplBench(cfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range runs {
-		fmt.Printf("  group=%-3d %9.0f recs/s  %8.0f txns/s  %7d msgs  %6.1f mallocs/txn  %.2fx\n",
-			r.GroupTxns, r.RecordsPerSec, r.TxnsPerSec, r.Messages, r.MallocsPerTxn, r.SpeedupVsGroup1)
-	}
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runClockBench sweeps the timestamp oracle over the configured
-// (lease, epoch) points and writes the measurements as JSON.
-func runClockBench(out string, dur time.Duration) error {
-	cfg := bench.DefaultClockBenchConfig()
-	if dur > 0 {
-		cfg.Duration = dur
-	}
-	fmt.Printf("timestamp oracle: %d clients, %d records, %v GTS latency, %v/point\n",
-		cfg.Clients, cfg.Records, cfg.Net.Latency, cfg.Duration)
-	runs, err := bench.RunClockBench(cfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range runs {
-		fmt.Printf("  lease=%-4d epoch=%-3d %8.0f txns/s  begin %6.1fµs  commit %6.1fµs  %5.2f gts msgs/txn (%5.1fx fewer)  %4.2f syncs/txn  %.2fx\n",
-			r.Lease, r.EpochTxns, r.TxnsPerSec, r.AvgBeginUs, r.AvgCommitUs,
-			r.GTSMsgsPerTxn, r.MsgsReductionVsBase, r.WALSyncsPerTxn, r.SpeedupVsBase)
-	}
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
 // runFailoverBench kills the oracle primary mid-run at each detection
 // configuration and writes the unavailability measurements as JSON.
 func runFailoverBench(out string, dur time.Duration) error {
@@ -205,57 +126,6 @@ func runFailoverBench(out string, dur time.Duration) error {
 		fmt.Printf("  hb=%-4.1fms misses=%d %8.0f txns/s  %d failover(s)  unavail %6.1fms  stall %6.1fms  %d fence rejections  %d hwm persists\n",
 			r.HeartbeatMs, r.Misses, r.TxnsPerSec, r.Failovers, r.UnavailMs, r.StallMs,
 			r.FenceRejections, r.HWMPersists)
-	}
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runTxnBench sweeps the foreground hot path over worker counts and
-// operation mixes and writes the measurements as JSON.
-func runTxnBench(out string, dur time.Duration) error {
-	cfg := bench.DefaultTxnBenchConfig()
-	if dur > 0 {
-		cfg.Duration = dur
-	}
-	fmt.Printf("foreground hot path: %d keys x %dB, %d ops/txn, %v/point, GOMAXPROCS=%d\n",
-		cfg.Keys, cfg.ValueBytes, cfg.OpsPerTxn, cfg.Duration, runtime.GOMAXPROCS(0))
-	runs, err := bench.RunTxnBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatTxnBench(runs))
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runCkptBench measures the migration's initial copy with and without
-// checkpoint-file shipping and writes the pair as JSON.
-func runCkptBench(out, dir string) error {
-	cfg := bench.DefaultStorageBenchConfig()
-	cfg.Dir = dir
-	fmt.Printf("initial copy: %d tuples x %dB across %d shards, %.0f%% post-checkpoint churn\n",
-		cfg.Tuples, cfg.ValueBytes, cfg.Shards, 100*cfg.DeltaPct)
-	runs, err := bench.RunStorageBench(cfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range runs {
-		fmt.Printf("  mode=%-4s copy %6.3fs  %7d tuples  %9d bytes  src scans/tuple %.2f  catch-up %6.3fs  %.2fx\n",
-			r.Mode, r.CopySec, r.CopyTuples, r.CopyBytes, r.SrcScanPerTup, r.CatchupSec, r.SpeedupVsLive)
 	}
 	data, err := json.MarshalIndent(runs, "", "  ")
 	if err != nil {

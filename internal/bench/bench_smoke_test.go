@@ -252,37 +252,6 @@ func TestWindowZeroRuns(t *testing.T) {
 	}
 }
 
-func TestClockBenchTiny(t *testing.T) {
-	skipIfShort(t)
-	cfg := DefaultClockBenchConfig()
-	cfg.Records = 240
-	cfg.Shards = 6
-	cfg.Clients = 6
-	cfg.Duration = 150 * time.Millisecond
-	cfg.Points = []ClockPoint{{1, 0}, {64, 16}}
-	runs, err := RunClockBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("%d points, want 2", len(runs))
-	}
-	for _, r := range runs {
-		if r.Txns == 0 {
-			t.Errorf("point lease=%d epoch=%d committed nothing", r.Lease, r.EpochTxns)
-		}
-		if r.GTSMsgsPerTxn <= 0 {
-			t.Errorf("point lease=%d: gts_msgs_per_txn = %v", r.Lease, r.GTSMsgsPerTxn)
-		}
-	}
-	// Even at smoke scale the leased/epoch point must talk to the sequencer
-	// less per transaction than the per-request baseline.
-	if runs[1].MsgsReductionVsBase <= 1 {
-		t.Errorf("lease=64/epoch=16 msgs reduction = %vx, want > 1x (baseline %v msgs/txn, leased %v)",
-			runs[1].MsgsReductionVsBase, runs[0].GTSMsgsPerTxn, runs[1].GTSMsgsPerTxn)
-	}
-}
-
 func TestFailoverBenchTiny(t *testing.T) {
 	skipIfShort(t)
 	cfg := DefaultFailoverBenchConfig()

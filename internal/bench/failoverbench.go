@@ -42,7 +42,7 @@ type FailoverBenchConfig struct {
 	// Lease is the timestamp lease size (leasing rides through failover via
 	// the fencing-epoch re-lease, so the bench runs with realistic leases).
 	Lease int
-	// EpochTxns/EpochDelay shape group commit, as in the clock bench.
+	// EpochTxns/EpochDelay shape group commit.
 	EpochTxns  int
 	EpochDelay time.Duration
 	// Replicas is the oracle group size.

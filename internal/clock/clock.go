@@ -122,7 +122,7 @@ func (c *GTSClient) rpc() base.Timestamp {
 }
 
 // GTSRequests reports the sequencer round trips this client has paid (the
-// clock bench compares it against LeasedOracle's amortized count).
+// benchmark's traced run divides it by committed transactions).
 func (c *GTSClient) GTSRequests() uint64 { return c.requests.Load() }
 
 // StartTS implements Oracle.

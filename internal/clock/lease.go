@@ -40,7 +40,6 @@ type LeasedOracle struct {
 	refreshes atomic.Uint64 // successful lease refreshes
 	issued    atomic.Uint64 // timestamps handed out locally
 	skipped   atomic.Uint64 // leased timestamps discarded by Observe/CommitTS skips
-	fenced    atomic.Uint64 // fencing rejections ridden through by re-leasing
 }
 
 var _ Oracle = (*LeasedOracle)(nil)
@@ -87,7 +86,6 @@ func (o *LeasedOracle) refreshLocked() {
 			var fe *FencedError
 			if errors.As(err, &fe) {
 				o.epoch = fe.Epoch
-				o.fenced.Add(1)
 			}
 			continue
 		}
@@ -181,9 +179,6 @@ func (o *LeasedOracle) Now() base.Timestamp { return o.ls.Current() }
 // Name implements Oracle.
 func (o *LeasedOracle) Name() string { return "gts-lease" }
 
-// Lease reports the configured lease size.
-func (o *LeasedOracle) Lease() int { return int(o.lease) }
-
 // GTSRequests reports sequencer round trips paid so far.
 func (o *LeasedOracle) GTSRequests() uint64 { return o.requests.Load() }
 
@@ -195,14 +190,3 @@ func (o *LeasedOracle) Issued() uint64 { return o.issued.Load() }
 
 // Skipped reports leased timestamps discarded by Observe/CommitTS skips.
 func (o *LeasedOracle) Skipped() uint64 { return o.skipped.Load() }
-
-// FenceRejections reports lease refreshes rejected for a stale fencing epoch
-// and ridden through by transparent re-lease.
-func (o *LeasedOracle) FenceRejections() uint64 { return o.fenced.Load() }
-
-// GTSRequester is implemented by oracles that can report their sequencer
-// round-trip count (GTSClient and LeasedOracle); the clock bench sums it
-// across nodes for the messages-per-transaction metric.
-type GTSRequester interface {
-	GTSRequests() uint64
-}

@@ -13,7 +13,7 @@ import (
 
 // newLeasedEpochCluster is the smoke fixture for the amortized oracle path:
 // GTS with leased timestamp allocation on every node and epoch-based group
-// commit on every manager — the full configuration the clock bench measures.
+// commit on every manager.
 func newLeasedEpochCluster(t *testing.T) *Cluster {
 	t.Helper()
 	return New(Config{

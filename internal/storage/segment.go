@@ -211,9 +211,11 @@ func (s *SegmentWAL) Append(rec wal.Record) error {
 // name carries the LSN of its first record. Caller holds s.mu.
 func (s *SegmentWAL) rotate(first wal.LSN) error {
 	if s.f != nil {
-		s.f.Sync()
-		s.f.Close()
+		err := syncClose(s.f)
 		s.f = nil
+		if err != nil {
+			return err
+		}
 	}
 	name := segName(first)
 	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -350,8 +352,17 @@ func (s *SegmentWAL) Close() error {
 	if s.f == nil {
 		return nil
 	}
-	s.f.Sync()
-	err := s.f.Close()
+	err := syncClose(s.f)
 	s.f = nil
+	return err
+}
+
+// syncClose fsyncs and closes f, reporting the fsync error ahead of the
+// close error.
+func syncClose(f *os.File) error {
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

@@ -270,3 +270,21 @@ func TestTryNextBatchAcrossSegmentBoundary(t *testing.T) {
 	}
 	l.Close() // closes the backend too
 }
+
+func TestRotateReportsSyncError(t *testing.T) {
+	s, err := OpenSegmentWAL(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := rec(1, "k")
+	big.Value = make(base.Value, 128) // fills the 64-byte segment in one record
+	if err := s.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	// Pull the full segment's file out from under the WAL: the fsync that
+	// rotation owes it must now fail, and the failure must reach the caller.
+	s.f.Close()
+	if err := s.Append(rec(2, "k2")); err == nil {
+		t.Fatal("Append that rotated past a segment whose fsync failed returned nil")
+	}
+}
