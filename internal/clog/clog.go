@@ -51,14 +51,23 @@ func unpackWord(w uint64) Entry {
 	}
 }
 
+// Decided reports whether the entry is a decided transaction: prepared, so
+// readers still prepare-wait, but carrying its commit timestamp, so the
+// outcome is final — SetAborted refuses it and SetCommitted accepts only that
+// timestamp. Epoch group commit parks its members in this state until the
+// seal publishes them.
+func (e Entry) Decided() bool { return e.Status == base.StatusPrepared && e.CommitTS != 0 }
+
 // Ref is a stable handle on one transaction's CLOG record. Holders resolve
 // the transaction's (status, commitTS) with a single atomic load — no stripe
 // lock, no map probe — so MVCC version chains cache the creator's Ref at
 // version-creation time and visibility checks stay lock-free for the
 // version's whole life. A Ref stays valid after Forget drops the record from
 // the table: it keeps reporting the terminal state, which is strictly more
-// information than the table's unknown-means-aborted fallback.
+// information than the table's unknown-means-aborted fallback. Its Set
+// methods are the record's transitions, each a CAS loop on the packed word.
 type Ref struct {
+	xid base.XID
 	// packed is the (status, commitTS) word. base.StatusInProgress is zero,
 	// so the zero Ref is a freshly begun transaction.
 	packed atomic.Uint64
@@ -122,12 +131,12 @@ func (r *Ref) WaitDone(timeout time.Duration) (Entry, error) {
 	}
 }
 
-// setPrepared moves in-progress → prepared.
-func (r *Ref) setPrepared(xid base.XID) error {
+// SetPrepared moves in-progress → prepared.
+func (r *Ref) SetPrepared() error {
 	for {
 		w := r.packed.Load()
 		if st := unpackWord(w).Status; st != base.StatusInProgress {
-			return fmt.Errorf("clog: prepare of %v in state %v", xid, st)
+			return fmt.Errorf("clog: prepare of %v in state %v", r.xid, st)
 		}
 		if r.packed.CompareAndSwap(w, packWord(base.StatusPrepared, 0)) {
 			return nil
@@ -135,22 +144,36 @@ func (r *Ref) setPrepared(xid base.XID) error {
 	}
 }
 
-// setCommitted publishes the commit timestamp and wakes prepare-waiters.
-func (r *Ref) setCommitted(xid base.XID, ts base.Timestamp) error {
+// SetDecided moves undecided-prepared → decided at ts (see Entry.Decided).
+func (r *Ref) SetDecided(ts base.Timestamp) error {
+	if ts == 0 || uint64(ts)&^packedTSMask != 0 {
+		return fmt.Errorf("clog: decide of %v at unrepresentable %v", r.xid, ts)
+	}
+	if !r.packed.CompareAndSwap(packWord(base.StatusPrepared, 0), packWord(base.StatusPrepared, ts)) {
+		return fmt.Errorf("clog: decide of %v in state %+v", r.xid, r.Entry())
+	}
+	return nil
+}
+
+// SetCommitted publishes the commit timestamp and wakes prepare-waiters. A
+// decided record commits only at its decided timestamp.
+func (r *Ref) SetCommitted(ts base.Timestamp) error {
 	if uint64(ts)&^packedTSMask != 0 {
-		return fmt.Errorf("clog: commit timestamp %v of %v overflows the packed word", ts, xid)
+		return fmt.Errorf("clog: commit timestamp %v of %v overflows the packed word", ts, r.xid)
 	}
 	for {
 		w := r.packed.Load()
 		e := unpackWord(w)
-		switch e.Status {
-		case base.StatusCommitted:
+		switch {
+		case e.Status == base.StatusCommitted, e.Decided():
 			if e.CommitTS != ts {
-				return fmt.Errorf("clog: %v re-committed with %v (was %v)", xid, ts, e.CommitTS)
+				return fmt.Errorf("clog: %v re-committed with %v (was %v)", r.xid, ts, e.CommitTS)
 			}
-			return nil
-		case base.StatusAborted:
-			return fmt.Errorf("clog: commit of aborted %v", xid)
+			if e.Status == base.StatusCommitted {
+				return nil
+			}
+		case e.Status == base.StatusAborted:
+			return fmt.Errorf("clog: commit of aborted %v", r.xid)
 		}
 		if r.packed.CompareAndSwap(w, packWord(base.StatusCommitted, ts)) {
 			r.wakeWaiters()
@@ -159,15 +182,15 @@ func (r *Ref) setCommitted(xid base.XID, ts base.Timestamp) error {
 	}
 }
 
-// setAborted marks the transaction aborted and wakes prepare-waiters.
-func (r *Ref) setAborted(xid base.XID) error {
+// SetAborted marks the transaction aborted and wakes prepare-waiters.
+func (r *Ref) SetAborted() error {
 	for {
 		w := r.packed.Load()
-		switch unpackWord(w).Status {
-		case base.StatusAborted:
+		switch e := unpackWord(w); {
+		case e.Status == base.StatusAborted:
 			return nil
-		case base.StatusCommitted:
-			return fmt.Errorf("clog: abort of committed %v", xid)
+		case e.Status == base.StatusCommitted, e.Decided():
+			return fmt.Errorf("clog: abort of committed %v", r.xid)
 		}
 		if r.packed.CompareAndSwap(w, packWord(base.StatusAborted, 0)) {
 			r.wakeWaiters()
@@ -215,7 +238,7 @@ func (c *CLOG) Begin(xid base.XID) *Ref {
 	if _, ok := s.records[xid]; ok {
 		panic(fmt.Sprintf("clog: duplicate Begin for %v", xid))
 	}
-	r := &Ref{}
+	r := &Ref{xid: xid}
 	s.records[xid] = r
 	return r
 }
@@ -238,7 +261,7 @@ func (c *CLOG) SetPrepared(xid base.XID) error {
 	if r == nil {
 		return fmt.Errorf("clog: prepare of unknown %v", xid)
 	}
-	return r.setPrepared(xid)
+	return r.SetPrepared()
 }
 
 // SetCommitted replaces the transaction's status with its commit timestamp
@@ -248,36 +271,7 @@ func (c *CLOG) SetCommitted(xid base.XID, ts base.Timestamp) error {
 	if r == nil {
 		return fmt.Errorf("clog: commit of unknown %v", xid)
 	}
-	return r.setCommitted(xid, ts)
-}
-
-// BatchCommit is one entry of an epoch seal's batched publication.
-type BatchCommit struct {
-	XID      base.XID
-	CommitTS base.Timestamp
-}
-
-// SetCommittedBatch publishes every entry's commit in slice order — the CLOG
-// half of epoch-based group commit. With packed-word transitions there is no
-// table-wide critical section left to amortize; the batch form survives as
-// the epoch seal's single publication point. Publishing entry-by-entry is
-// observably identical to the legacy per-transaction sequence: an unpublished
-// member is still prepared, so a reader that needs its outcome prepare-waits
-// rather than misreading it. A failing entry (re-commit mismatch, commit of
-// an aborted xid) is reported in the returned slice, aligned by index, and
-// does not stop the remaining entries. The returned slice is nil when every
-// entry published cleanly.
-func (c *CLOG) SetCommittedBatch(batch []BatchCommit) []error {
-	var errs []error
-	for i, b := range batch {
-		if err := c.SetCommitted(b.XID, b.CommitTS); err != nil {
-			if errs == nil {
-				errs = make([]error, len(batch))
-			}
-			errs[i] = err
-		}
-	}
-	return errs
+	return r.SetCommitted(ts)
 }
 
 // SetAborted marks the transaction aborted and wakes all prepare-waiters.
@@ -286,7 +280,7 @@ func (c *CLOG) SetAborted(xid base.XID) error {
 	if r == nil {
 		return fmt.Errorf("clog: abort of unknown %v", xid)
 	}
-	return r.setAborted(xid)
+	return r.SetAborted()
 }
 
 // Lookup returns the transaction's current status and commit timestamp.

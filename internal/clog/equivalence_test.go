@@ -1,9 +1,11 @@
 package clog
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"remus/internal/base"
 )
@@ -36,17 +38,32 @@ func (c *refCLOG) setPrepared(xid base.XID) error {
 	return nil
 }
 
+// setDecided moves an undecided prepared record to decided: still
+// prepared, now carrying its commit timestamp.
+func (c *refCLOG) setDecided(xid base.XID, ts base.Timestamp) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.recs[xid] != (Entry{Status: base.StatusPrepared}) || ts == 0 {
+		return errState
+	}
+	c.recs[xid] = Entry{Status: base.StatusPrepared, CommitTS: ts}
+	return nil
+}
+
 func (c *refCLOG) setCommitted(xid base.XID, ts base.Timestamp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.recs[xid]
-	switch e.Status {
-	case base.StatusCommitted:
+	decided := e.Status == base.StatusPrepared && e.CommitTS != 0
+	switch {
+	case e.Status == base.StatusCommitted, decided:
 		if e.CommitTS != ts {
 			return errState
 		}
-		return nil
-	case base.StatusAborted:
+		if !decided {
+			return nil
+		}
+	case e.Status == base.StatusAborted:
 		return errState
 	}
 	c.recs[xid] = Entry{Status: base.StatusCommitted, CommitTS: ts}
@@ -56,10 +73,11 @@ func (c *refCLOG) setCommitted(xid base.XID, ts base.Timestamp) error {
 func (c *refCLOG) setAborted(xid base.XID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch c.recs[xid].Status {
-	case base.StatusAborted:
+	e := c.recs[xid]
+	switch {
+	case e.Status == base.StatusAborted:
 		return nil
-	case base.StatusCommitted:
+	case e.Status == base.StatusCommitted, e.Status == base.StatusPrepared && e.CommitTS != 0:
 		return errState
 	}
 	c.recs[xid] = Entry{Status: base.StatusAborted}
@@ -254,4 +272,49 @@ func TestStripedIllegalTransitionsMatchReference(t *testing.T) {
 	mustBoth(striped.SetAborted(2), ref.setAborted(2))
 	mustBoth(striped.SetAborted(2), ref.setAborted(2))           // idempotent re-abort
 	mustBoth(striped.SetCommitted(2, 5), ref.setCommitted(2, 5)) // commit after abort
+}
+
+// TestStripedDecidedMatchesReference checks the decided transition — the
+// epoch-parked commit — against the reference: a decided record refuses
+// abort, a second decision and a commit at another timestamp, commits at its
+// own, and stays live (prepare-wait, no Forget) until then.
+func TestStripedDecidedMatchesReference(t *testing.T) {
+	striped, ref := New(), newRefCLOG()
+	mustBoth := func(sErr, rErr error) {
+		t.Helper()
+		if (sErr == nil) != (rErr == nil) {
+			t.Fatalf("striped err %v, reference err %v", sErr, rErr)
+		}
+	}
+	mustMatch := func(xid base.XID) {
+		t.Helper()
+		if got, want := striped.Lookup(xid), ref.lookup(xid); got != want {
+			t.Fatalf("xid %v: striped %+v, reference %+v", xid, got, want)
+		}
+	}
+	r := striped.Begin(1)
+	ref.begin(1)
+	mustBoth(r.SetDecided(10), ref.setDecided(1, 10)) // decide before prepare
+	mustBoth(r.SetPrepared(), ref.setPrepared(1))
+	mustBoth(r.SetDecided(0), ref.setDecided(1, 0)) // a decision needs a timestamp
+	mustBoth(r.SetDecided(10), ref.setDecided(1, 10))
+	mustMatch(1)
+	mustBoth(r.SetDecided(11), ref.setDecided(1, 11))              // second decision
+	mustBoth(striped.SetAborted(1), ref.setAborted(1))             // abort of decided
+	mustBoth(striped.SetPrepared(1), ref.setPrepared(1))           // prepare of decided
+	mustBoth(striped.SetCommitted(1, 11), ref.setCommitted(1, 11)) // commit elsewhere
+	mustMatch(1)
+	if err := striped.Forget(1); err == nil {
+		t.Fatal("forget of a decided record must fail")
+	}
+	if _, err := r.WaitDone(time.Millisecond); !errors.Is(err, base.ErrTimeout) {
+		t.Fatalf("prepare-wait on a decided record = %v, want a timeout", err)
+	}
+	waited := make(chan Entry, 1)
+	go func() { e, _ := r.WaitDone(0); waited <- e }()
+	mustBoth(striped.SetCommitted(1, 10), ref.setCommitted(1, 10))
+	mustMatch(1)
+	if e := <-waited; e != (Entry{Status: base.StatusCommitted, CommitTS: 10}) {
+		t.Fatalf("waiter woke with %+v", e)
+	}
 }

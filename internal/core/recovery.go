@@ -7,7 +7,6 @@ import (
 	"remus/internal/base"
 	"remus/internal/node"
 	"remus/internal/repl"
-	"remus/internal/txn"
 )
 
 // residualResolveWait bounds how long recovery waits for a still-prepared
@@ -180,12 +179,11 @@ func (m *Migration) rebuildPipeline() error {
 		shardSet[id] = true
 	}
 	for _, t := range m.src.Manager().ActiveTxns() {
-		if t.State() == txn.StatePrepared {
-			continue // decided by its coordinator; step 3 resolved its shadow
-		}
 		for _, s := range t.TouchedShards() {
 			if shardSet[s] {
-				_ = t.AbortWith(fmt.Errorf("%w: migration recovery", base.ErrMigrationAbort))
+				// A prepared one is decided by its coordinator; step 3
+				// resolved its shadow.
+				_ = t.AbortUnprepared(fmt.Errorf("%w: migration recovery", base.ErrMigrationAbort))
 				break
 			}
 		}

@@ -403,9 +403,7 @@ func (n *Node) Crash() {
 		return
 	}
 	for _, t := range n.mgr.ActiveTxns() {
-		if t.State() != txn.StatePrepared {
-			_ = t.Abort()
-		}
+		_ = t.AbortUnprepared(nil)
 	}
 }
 

@@ -1,13 +1,14 @@
 // Epoch-based group commit: transactions that reach their commit point
-// within one epoch are published together — one CLOG critical section and
-// one WAL fsync-point for the whole epoch instead of one per transaction —
-// and their commit acknowledgements are released only when the epoch seals.
+// within one epoch are published together — one WAL fsync-point for the
+// whole epoch instead of one per transaction — and their commit
+// acknowledgements are released only when the epoch seals.
 // This follows the epoch-commit design of "Epoch-based Optimistic
 // Concurrency Control in Geo-replicated Databases" (PAPERS.md), adapted to
 // this repo's SI machinery.
 //
 // Snapshot-isolation safety: a member's commit timestamp is assigned before
-// it parks, but its CLOG entry stays in the prepared state until the seal.
+// it parks and recorded in its CLOG word, which moves to decided — still
+// prepared to readers — and stays there until the seal.
 // Any reader whose snapshot could observe the commit therefore hits the
 // standard prepare-wait (§2.2) and blocks until the epoch seals — a snapshot
 // never observes a commit from an unsealed epoch, and after the seal it
@@ -24,8 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"remus/internal/base"
-	"remus/internal/clog"
 	"remus/internal/fault"
 	"remus/internal/obs"
 	"remus/internal/wal"
@@ -50,16 +49,10 @@ type EpochConfig struct {
 	Faults *fault.Registry
 }
 
-type epochMember struct {
-	t  *Txn
-	ts base.Timestamp
-}
-
 type epoch struct {
 	opened  time.Time
 	timer   *time.Timer
-	members []epochMember
-	errs    []error       // publication errors aligned with members; nil when clean
+	members []*Txn        // decided, in park order
 	sealed  chan struct{} // closed once the epoch is published
 }
 
@@ -105,11 +98,11 @@ func (m *Manager) FlushEpochs() {
 
 // commit parks the transaction in the current epoch and blocks until the
 // epoch seals; publication (CLOG + WAL) happens in the sealer, lock release
-// and bookkeeping in the member's own goroutine afterwards. The caller has
-// already moved the transaction to StateCommitted, so no concurrent abort
-// can revoke a parked member (AbortWith on it fails like on any committed
-// transaction) — the commit decision is final the moment it parks.
-func (em *epochManager) commit(t *Txn, ts base.Timestamp) error {
+// and bookkeeping in the member's own CommitAt afterwards. The caller has
+// already moved the transaction's CLOG word to decided, which abort's
+// CAS refuses (AbortWith on it fails like on any committed transaction) —
+// the commit decision is final the moment it parks.
+func (em *epochManager) commit(t *Txn) {
 	em.mu.Lock()
 	e := em.cur
 	if e == nil {
@@ -119,8 +112,7 @@ func (em *epochManager) commit(t *Txn, ts base.Timestamp) error {
 			e.timer = time.AfterFunc(em.cfg.Delay, func() { em.sealIfCurrent(e) })
 		}
 	}
-	e.members = append(e.members, epochMember{t: t, ts: ts})
-	idx := len(e.members) - 1
+	e.members = append(e.members, t)
 	full := len(e.members) >= em.cfg.Txns
 	if full {
 		em.cur = nil // detached: this goroutine owns the seal
@@ -128,29 +120,10 @@ func (em *epochManager) commit(t *Txn, ts base.Timestamp) error {
 	em.mu.Unlock()
 
 	if full {
-		if e.timer != nil {
-			e.timer.Stop()
-		}
 		em.seal(e)
 	} else {
 		<-e.sealed
 	}
-	if e.errs != nil && e.errs[idx] != nil {
-		// Publication failed for this member (cannot happen through the
-		// public API: parked members are unabortable). Mirror the legacy
-		// path's contract: surface the error, leave the txn registered.
-		return e.errs[idx]
-	}
-	t.releaseLocks()
-	em.m.finish(t)
-	if r := em.m.rec.Load(); r != nil {
-		r.Add(obs.CtrCommits, 1)
-		r.Add(obs.CtrEpochTxns, 1)
-		if !t.wallStart.IsZero() {
-			r.Observe(obs.HistCommitLatency, uint64(time.Since(t.wallStart)))
-		}
-	}
-	return nil
 }
 
 // sealIfCurrent is the timer path: detach the epoch if it is still open
@@ -174,38 +147,37 @@ func (em *epochManager) flush() {
 	em.cur = nil
 	em.mu.Unlock()
 	if e != nil {
-		if e.timer != nil {
-			e.timer.Stop()
-		}
 		em.seal(e)
 	}
 }
 
-// seal publishes a detached epoch: one batched CLOG publication, the
-// members' WAL commit records in epoch order, one fsync-point, then the
-// wakeup. The fault site sits after the epoch stopped admitting members and
-// before anything is published — the "torn epoch" boundary. A site error
-// models a failed publication attempt and is retried: every member's commit
-// decision is already final (state committed, coordinator may have released
-// other participants), so rolling the epoch back here would tear
-// distributed transactions; publication must simply happen. Chaos actions
-// are Once/probabilistic, so retries terminate, and a crash Do still fires
-// on the first evaluation.
+// seal publishes a detached epoch: each member's CLOG word moves decided →
+// committed at its decided timestamp, followed by its WAL commit record, in
+// epoch order; then one fsync-point and the wakeup. An unpublished member is
+// still decided, so a reader that needs its outcome prepare-waits rather
+// than misreading it. The fault site sits after the epoch stopped admitting
+// members and before anything is published — the "torn epoch" boundary. A
+// site error models a failed publication attempt and is retried: every
+// member's commit decision is already final (word decided, coordinator may
+// have released other participants), so rolling the epoch back here would
+// tear distributed transactions; publication must simply happen. Chaos
+// actions are Once/probabilistic, so retries terminate, and a crash Do still
+// fires on the first evaluation.
 func (em *epochManager) seal(e *epoch) {
+	if e.timer != nil {
+		e.timer.Stop() // a no-op on the timer's own path
+	}
 	for em.cfg.Faults.Eval(fault.SiteEpochSeal) != nil {
 	}
-	batch := make([]clog.BatchCommit, len(e.members))
-	for i, mb := range e.members {
-		batch[i] = clog.BatchCommit{XID: mb.t.XID, CommitTS: mb.ts}
-	}
-	e.errs = em.m.clog.SetCommittedBatch(batch)
-	for i, mb := range e.members {
-		if e.errs != nil && e.errs[i] != nil {
-			continue
+	for _, t := range e.members {
+		// Only the seal moves a decided word, so this cannot fail.
+		ts := t.CommitTS()
+		if err := t.ref.SetCommitted(ts); err != nil {
+			panic(err)
 		}
 		em.m.wal.Append(wal.Record{
-			Type: wal.RecCommit, XID: mb.t.XID, Txn: mb.t.GlobalID,
-			StartTS: mb.t.StartTS, CommitTS: mb.ts,
+			Type: wal.RecCommit, XID: t.XID, Txn: t.GlobalID,
+			StartTS: t.StartTS, CommitTS: ts,
 		})
 	}
 	em.m.wal.Sync()

@@ -29,7 +29,8 @@ const (
 	StateCommitting
 	// StatePrepared means the 2PC prepare phase completed.
 	StatePrepared
-	// StateCommitted is terminal.
+	// StateCommitted is terminal. It also covers a decided transaction
+	// parked in an epoch: its outcome is final, only its publication waits.
 	StateCommitted
 	// StateAborted is terminal.
 	StateAborted
@@ -85,33 +86,22 @@ type Txn struct {
 	GlobalID base.TxnID
 	StartTS  base.Timestamp
 
-	// ref is the transaction's CLOG handle; every version this txn creates
-	// caches it so visibility checks resolve the outcome with one atomic load.
+	// ref is the transaction's CLOG word and its only stored outcome: every
+	// transition is a CAS on it, taken under mu together with the WAL record
+	// it logs. Every version this txn creates caches it so visibility checks
+	// resolve the outcome with one atomic load.
 	ref *clog.Ref
 
 	wallStart time.Time // set only while a recorder is installed
 
 	mu         sync.Mutex
-	state      State
+	committing bool // entered the commit path; refines an in-progress word
 	writes     []WriteRef
 	shards     map[base.ShardID]struct{}
-	commitTS   base.Timestamp
 	firstLSN   wal.LSN       // LSN of the txn's first WAL record (0 if none)
 	cleanups   []func()      // run once at terminal state (LIFO)
-	abortCause error         // why the txn was aborted by a third party
+	abortCause error         // why the txn was aborted, if a cause was given
 	done       chan struct{} // closed at terminal state
-}
-
-// AbortWith aborts the transaction recording a cause; subsequent statements
-// and commit attempts by the transaction's own session report that cause
-// (e.g. base.ErrMigrationAbort when lock-and-abort kills writers, §2.3.3).
-func (t *Txn) AbortWith(cause error) error {
-	t.mu.Lock()
-	if t.state != StateCommitted && t.state != StateAborted && t.abortCause == nil {
-		t.abortCause = cause
-	}
-	t.mu.Unlock()
-	return t.abortLocked(cause)
 }
 
 // FirstLSN returns the LSN of the transaction's first WAL record, or zero if
@@ -131,7 +121,7 @@ func (t *Txn) FirstLSN() wal.LSN {
 // otherwise leak.
 func (t *Txn) AddCleanup(fn func()) {
 	t.mu.Lock()
-	if t.state == StateCommitted || t.state == StateAborted {
+	if st := t.stateLocked(); st == StateCommitted || st == StateAborted {
 		t.mu.Unlock()
 		fn()
 		return
@@ -410,11 +400,35 @@ func (m *Manager) finish(t *Txn) {
 // ---------------------------------------------------------------------------
 // Txn statement API.
 
-// State returns the transaction's current state.
+// State returns the transaction's current state: a view of its CLOG word,
+// refined by the entered-commit bit while the word is still in progress.
 func (t *Txn) State() State {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.state
+	return t.stateLocked()
+}
+
+func (t *Txn) stateLocked() State {
+	switch e := t.ref.Entry(); {
+	case e.Status == base.StatusCommitted, e.Decided():
+		return StateCommitted
+	case e.Status == base.StatusAborted:
+		return StateAborted
+	case e.Status == base.StatusPrepared:
+		return StatePrepared
+	case t.committing:
+		return StateCommitting
+	}
+	return StateActive
+}
+
+// stateErrLocked reports why op cannot run in the transaction's state.
+func (t *Txn) stateErrLocked(op string) error {
+	st := t.stateLocked()
+	if st == StateAborted && t.abortCause != nil {
+		return fmt.Errorf("%s of %v: %w", op, t.XID, t.abortCause)
+	}
+	return fmt.Errorf("%s of %v in state %v: %w", op, t.XID, st, base.ErrTxnFinished)
 }
 
 // Done returns a channel closed when the transaction reaches a terminal
@@ -422,11 +436,7 @@ func (t *Txn) State() State {
 func (t *Txn) Done() <-chan struct{} { return t.done }
 
 // CommitTS returns the commit timestamp (valid once committed).
-func (t *Txn) CommitTS() base.Timestamp {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.commitTS
-}
+func (t *Txn) CommitTS() base.Timestamp { return t.ref.Entry().CommitTS }
 
 // WriteCount reports the number of logged mutations.
 func (t *Txn) WriteCount() int {
@@ -457,11 +467,8 @@ func (t *Txn) WroteShard(id base.ShardID) bool {
 func (t *Txn) ensureActive() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.state != StateActive {
-		if t.state == StateAborted && t.abortCause != nil {
-			return fmt.Errorf("%v: %w", t.XID, t.abortCause)
-		}
-		return fmt.Errorf("%v in state %v: %w", t.XID, t.state, base.ErrTxnFinished)
+	if t.stateLocked() != StateActive {
+		return t.stateErrLocked("statement")
 	}
 	return nil
 }
@@ -504,12 +511,24 @@ func (t *Txn) Write(store *mvcc.Store, table base.TableID, shardID base.ShardID,
 	case mvcc.WriteLock:
 		recType = wal.RecLock
 	}
-	lsn := t.m.wal.Append(wal.Record{
+	rec := wal.Record{
 		Type: recType, XID: t.XID, Txn: t.GlobalID,
 		Table: table, Shard: shardID, Key: key, Value: value.Clone(),
 		StartTS: t.StartTS,
-	})
+	}
 	t.mu.Lock()
+	if st := t.stateLocked(); st != StateActive {
+		// The transaction left the active state while the store write ran.
+		// Its change record must not follow the prepare or terminal record,
+		// and an abort's lock release may have missed this row lock.
+		err := t.stateErrLocked("write")
+		t.mu.Unlock()
+		if st == StateAborted {
+			store.ReleaseLocks(t.XID)
+		}
+		return err
+	}
+	lsn := t.m.wal.Append(rec)
 	if t.firstLSN == 0 {
 		t.firstLSN = lsn
 	}
@@ -550,43 +569,42 @@ outer:
 // Commit protocol (participant side).
 
 // Prepare runs the participant prepare phase: enter the commit path (passing
-// through any installed commit gate), write the prepare record — flagged as
-// a MOCC validation record when the gate demands it — mark the CLOG
-// prepared, wait for validation, and return this participant's prepare
+// through any installed commit gate), move the CLOG word to prepared and log
+// the prepare record — flagged as a MOCC validation record when the gate
+// demands it — wait for validation, and return this participant's prepare
 // timestamp. On validation failure the transaction is aborted and the error
 // returned.
 func (t *Txn) Prepare() (base.Timestamp, error) {
 	t.mu.Lock()
-	if t.state != StateActive {
-		st, cause := t.state, t.abortCause
+	if t.stateLocked() != StateActive {
+		err := t.stateErrLocked("prepare")
 		t.mu.Unlock()
-		if st == StateAborted && cause != nil {
-			return 0, fmt.Errorf("prepare of %v: %w", t.XID, cause)
-		}
-		return 0, fmt.Errorf("prepare of %v in state %v: %w", t.XID, st, base.ErrTxnFinished)
+		return 0, err
 	}
-	t.state = StateCommitting
-	t.mu.Unlock()
-
+	t.committing = true
+	// Registered under mu while the word is in progress, so an abort's
+	// finish — which runs after its CAS — always deregisters it.
 	gate := t.m.enterCommit(t)
+	t.mu.Unlock()
 	validate := gate != nil && gate.NeedsValidation(t)
 
+	t.mu.Lock()
+	if err := t.ref.SetPrepared(); err != nil {
+		// Aborted since it entered the commit path; the aborter finished it.
+		err = t.stateErrLocked("prepare")
+		t.mu.Unlock()
+		return 0, err
+	}
 	t.m.wal.Append(wal.Record{
 		Type: wal.RecPrepare, XID: t.XID, Txn: t.GlobalID,
 		StartTS: t.StartTS, Validation: validate,
 	})
-	if err := t.m.clog.SetPrepared(t.XID); err != nil {
-		t.abortLocked(fmt.Errorf("prepare: %w", err))
-		return 0, err
-	}
-	t.mu.Lock()
-	t.state = StatePrepared
 	t.mu.Unlock()
 
 	if validate {
 		if err := gate.WaitValidation(t); err != nil {
 			err = fmt.Errorf("mocc validation of %v: %w", t.XID, err)
-			t.abortLocked(err)
+			_ = t.abort(err, true) // fails only if a racing abort already won
 			return 0, err
 		}
 	}
@@ -595,40 +613,44 @@ func (t *Txn) Prepare() (base.Timestamp, error) {
 
 // CommitAt completes the transaction with the given commit timestamp
 // (assigned by the coordinator after all participants prepared). The commit
-// record lands in the WAL so the propagation process can ship it.
+// record lands in the WAL so the propagation process can ship it. With
+// epoch group commit the word moves to decided instead — final, so no abort
+// can revoke it — and the epoch seal commits it at the same timestamp.
 func (t *Txn) CommitAt(ts base.Timestamp) error {
-	t.mu.Lock()
-	if t.state != StatePrepared {
-		st, cause := t.state, t.abortCause
-		t.mu.Unlock()
-		if st == StateAborted && cause != nil {
-			return fmt.Errorf("commit of %v: %w", t.XID, cause)
-		}
-		return fmt.Errorf("commit of %v in state %v: %w", t.XID, st, base.ErrTxnFinished)
-	}
-	t.state = StateCommitted
-	t.commitTS = ts
-	t.mu.Unlock()
-
 	t.m.oracle.Observe(ts)
-	if em := t.m.epochs.Load(); em != nil {
-		// Epoch group commit: the decision above is final (no abort can
-		// revoke a committed txn); publication and the ack wait happen in
-		// the epoch machinery.
-		return em.commit(t, ts)
-	}
-	if err := t.m.clog.SetCommitted(t.XID, ts); err != nil {
+	em := t.m.epochs.Load()
+	t.mu.Lock()
+	if t.stateLocked() != StatePrepared {
+		err := t.stateErrLocked("commit")
+		t.mu.Unlock()
 		return err
 	}
-	t.m.wal.Append(wal.Record{
-		Type: wal.RecCommit, XID: t.XID, Txn: t.GlobalID,
-		StartTS: t.StartTS, CommitTS: ts,
-	})
-	t.m.wal.Sync()
+	if em != nil {
+		err := t.ref.SetDecided(ts)
+		t.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		em.commit(t)
+	} else {
+		if err := t.ref.SetCommitted(ts); err != nil {
+			t.mu.Unlock()
+			return err
+		}
+		t.m.wal.Append(wal.Record{
+			Type: wal.RecCommit, XID: t.XID, Txn: t.GlobalID,
+			StartTS: t.StartTS, CommitTS: ts,
+		})
+		t.mu.Unlock()
+		t.m.wal.Sync()
+	}
 	t.releaseLocks()
 	t.m.finish(t)
 	if r := t.m.rec.Load(); r != nil {
 		r.Add(obs.CtrCommits, 1)
+		if em != nil {
+			r.Add(obs.CtrEpochTxns, 1)
+		}
 		if !t.wallStart.IsZero() {
 			r.Observe(obs.HistCommitLatency, uint64(time.Since(t.wallStart)))
 		}
@@ -651,30 +673,45 @@ func (t *Txn) Commit() (base.Timestamp, error) {
 	return ts, nil
 }
 
-// Abort rolls the transaction back. Aborting a finished transaction is a
-// no-op returning base.ErrTxnFinished; aborting a prepared transaction is
-// legal (coordinator decision).
-func (t *Txn) Abort() error {
-	return t.abortLocked(nil)
-}
+// Abort rolls the transaction back from the active, committing or prepared
+// state; a coordinator may abort a participant that voted yes until it
+// decides to commit. Aborting an aborted transaction is a no-op; aborting a
+// committed or decided one fails with base.ErrTxnFinished.
+func (t *Txn) Abort() error { return t.abort(nil, true) }
 
-func (t *Txn) abortLocked(cause error) error {
+// AbortWith is Abort recording a cause: subsequent statements and commit
+// attempts by the transaction's own session report it (e.g.
+// base.ErrMigrationAbort when lock-and-abort kills writers, §2.3.3). The
+// cause sticks only if this call is the one that aborts the transaction.
+func (t *Txn) AbortWith(cause error) error { return t.abort(cause, true) }
+
+// AbortUnprepared is AbortWith for third parties that must not override a
+// yes vote (node crash, migration recovery): it aborts only a transaction
+// that has not prepared, decided by the same CAS that aborts it, and fails
+// on a prepared one, whose outcome belongs to its coordinator.
+func (t *Txn) AbortUnprepared(cause error) error { return t.abort(cause, false) }
+
+// abort moves the word to aborted and logs the abort record in one critical
+// section; the winner runs finish, exactly once. It leaves a prepared word
+// alone unless prepared is set.
+func (t *Txn) abort(cause error, prepared bool) error {
 	t.mu.Lock()
-	switch t.state {
-	case StateCommitted:
-		t.mu.Unlock()
-		return fmt.Errorf("abort of committed %v: %w", t.XID, base.ErrTxnFinished)
-	case StateAborted:
+	switch st := t.stateLocked(); {
+	case st == StateAborted:
 		t.mu.Unlock()
 		return nil
+	case st == StatePrepared && !prepared:
+		t.mu.Unlock()
+		return fmt.Errorf("abort of prepared %v: its coordinator decides", t.XID)
 	}
-	t.state = StateAborted
-	t.mu.Unlock()
-
-	if err := t.m.clog.SetAborted(t.XID); err != nil {
+	if err := t.ref.SetAborted(); err != nil {
+		err = t.stateErrLocked("abort")
+		t.mu.Unlock()
 		return err
 	}
+	t.abortCause = cause
 	t.m.wal.Append(wal.Record{Type: wal.RecAbort, XID: t.XID, Txn: t.GlobalID, StartTS: t.StartTS})
+	t.mu.Unlock()
 	t.releaseLocks()
 	t.m.finish(t)
 	if r := t.m.rec.Load(); r != nil {
