@@ -329,8 +329,9 @@ func (t *Txn) ScanTable(tbl *shard.Table, fn func(base.Key, base.Value) bool) er
 	return nil
 }
 
-// Commit finishes the transaction: single-participant fast path, or full
-// 2PC with the commit timestamp folded from all prepare timestamps (§2.2).
+// Commit finishes the transaction: single-participant fast path, or 2PC
+// with the commit timestamp folded from all prepare timestamps (§2.2). A
+// transaction no participant logged for commits in the prepare round.
 func (t *Txn) Commit() (base.Timestamp, error) {
 	if t.done {
 		return 0, base.ErrTxnFinished
@@ -354,73 +355,68 @@ func (t *Txn) Commit() (base.Timestamp, error) {
 			return cts, nil
 		}
 	}
-	// 2PC prepare in parallel.
-	type prep struct {
-		ts  base.Timestamp
-		err error
+	// Every write, row lock included, logs a change record, so a transaction
+	// no participant logged for wrote nothing. Its outcome is known before
+	// any vote and its commit timestamp is its snapshot: each participant
+	// commits right after it prepares, and no commit timestamp is drawn. The
+	// participant still logs and syncs both records, because its commit is
+	// visible in the CLOG before its record is durable.
+	readOnly := true
+	for _, p := range t.parts {
+		readOnly = readOnly && p.FirstLSN() == 0
 	}
-	var wg sync.WaitGroup
-	results := make(map[base.NodeID]*prep, len(t.parts))
 	var mu sync.Mutex
-	for id, p := range t.parts {
-		wg.Add(1)
-		go func(id base.NodeID, p *txn.Txn) {
-			defer wg.Done()
-			// A lost prepare message is a prepare failure: the
-			// participant never voted, so the transaction aborts.
-			if err := t.charge(t.s.c.Node(id), 64); err != nil {
-				mu.Lock()
-				results[id] = &prep{0, fmt.Errorf("prepare to %v: %w", id, err)}
-				mu.Unlock()
-				return
-			}
-			ts, err := p.Prepare()
-			mu.Lock()
-			results[id] = &prep{ts, err}
-			mu.Unlock()
-		}(id, p)
-	}
-	wg.Wait()
 	var maxPrep base.Timestamp
-	var firstErr error
-	for _, r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+	err := t.round(func(id base.NodeID, p *txn.Txn, trip error) error {
+		// A lost prepare message is a prepare failure: the participant
+		// never voted, so the transaction aborts.
+		if trip != nil {
+			return fmt.Errorf("prepare to %v: %w", id, trip)
 		}
-		if r.ts > maxPrep {
-			maxPrep = r.ts
+		ts, err := p.Prepare()
+		if err == nil && readOnly {
+			return p.CommitAt(t.startTS)
 		}
-	}
-	if firstErr != nil {
+		mu.Lock()
+		maxPrep = max(maxPrep, ts)
+		mu.Unlock()
+		return err
+	})
+	if err != nil {
+		// Read-only participants that already committed refuse the abort.
 		for _, p := range t.parts {
 			_ = p.Abort()
 		}
-		return 0, firstErr
+		return 0, err
+	}
+	if readOnly {
+		return t.startTS, nil
 	}
 	cts := t.s.coord.Oracle().CommitTS(maxPrep)
-	var commitErr error
-	for id, p := range t.parts {
-		wg.Add(1)
-		go func(id base.NodeID, p *txn.Txn) {
-			defer wg.Done()
-			// The decision is recorded; a lost commit message does not
-			// change it (the participant resolves via 2PC recovery), so a
-			// charge failure here is not an error.
-			_ = t.charge(t.s.c.Node(id), 64)
-			if err := p.CommitAt(cts); err != nil {
-				mu.Lock()
-				if commitErr == nil {
-					commitErr = err
-				}
-				mu.Unlock()
-			}
-		}(id, p)
-	}
-	wg.Wait()
-	if commitErr != nil {
-		return 0, commitErr
+	// The decision is recorded; a lost commit message does not change it
+	// (the participant resolves via 2PC recovery), so a failed trip here is
+	// not an error.
+	if err := t.round(func(_ base.NodeID, p *txn.Txn, _ error) error { return p.CommitAt(cts) }); err != nil {
+		return 0, err
 	}
 	return cts, nil
+}
+
+// round runs step on every participant in parallel, each after the
+// coordinator's round trip to its node (trip is that trip's error), and
+// returns the first error a step reports.
+func (t *Txn) round(step func(id base.NodeID, p *txn.Txn, trip error) error) error {
+	errs := make(chan error, len(t.parts))
+	for id, p := range t.parts {
+		go func() { errs <- step(id, p, t.charge(t.s.c.Node(id), 64)) }()
+	}
+	var first error
+	for range t.parts {
+		if err := <-errs; first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Abort rolls the transaction back on every participant.

@@ -206,7 +206,11 @@ func writeShardCheckpoint(dir string, sc ShardCheckpoint, pageBytes int, scan fu
 	return sc, nil
 }
 
-// writeManifest durably writes the done-marker for a generation.
+// writeManifest durably writes the done-marker for a generation, then
+// fsyncs dir: covered WAL segments are retired on the strength of the
+// manifest, so its rename, and the renames of the shard files it names, must
+// survive a crash first. Until that sync returns, a crash falls back to the
+// previous generation, whose WAL is still whole.
 func writeManifest(dir string, ck Checkpoint) error {
 	name := doneName(ck.Seq)
 	shards := make([]ShardCheckpoint, 0, len(ck.Shards))
@@ -230,6 +234,9 @@ func writeManifest(dir string, ck Checkpoint) error {
 		_, err := f.Write(buf)
 		return err
 	})
+	if err == nil {
+		err = syncDir(dir)
+	}
 	if err != nil {
 		return fmt.Errorf("storage: write manifest %s: %w", name, err)
 	}

@@ -78,6 +78,11 @@ func OpenOracleStore(dir string) (*OracleStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: oracle log: %w", err)
 	}
+	// The log may have just been created; its name must survive a crash.
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: oracle log: %w", err)
+	}
 	// Truncate past the last intact record (drops a torn tail; a compacted
 	// log is already exactly one record).
 	keep := int64(good) * oracleRecBytes
@@ -116,6 +121,9 @@ func (s *OracleStore) compact() error {
 		return fmt.Errorf("storage: oracle compact: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, oracleLogName)); err != nil {
+		return fmt.Errorf("storage: oracle compact: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("storage: oracle compact: %w", err)
 	}
 	return nil

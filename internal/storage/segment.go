@@ -52,6 +52,7 @@ type SegmentWAL struct {
 	next    wal.LSN // next append position (last seen LSN + 1)
 	covered wal.LSN // highest LSN covered by a durable checkpoint
 	syncs   uint64
+	newSeg  bool // a segment was created since the directory was last synced
 }
 
 // OpenSegmentWAL opens (creating if needed) the segment directory, scans
@@ -225,10 +226,13 @@ func (s *SegmentWAL) rotate(first wal.LSN) error {
 	s.f = f
 	s.size = 0
 	s.segs = append(s.segs, segInfo{name: name, first: first})
+	s.newSeg = true
 	return nil
 }
 
-// Sync implements wal.Backend: fsync the active segment.
+// Sync implements wal.Backend: fsync the active segment, and the directory
+// when a segment was created since its last sync, so the new segment's
+// name survives a crash along with its records.
 func (s *SegmentWAL) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,7 +240,21 @@ func (s *SegmentWAL) Sync() error {
 	if s.f == nil {
 		return nil
 	}
-	return s.f.Sync()
+	if err := s.f.Sync(); err != nil {
+		return err
+	}
+	return s.syncNewSeg()
+}
+
+// syncNewSeg fsyncs the directory if a segment was created since its last
+// sync. Caller holds s.mu.
+func (s *SegmentWAL) syncNewSeg() error {
+	if !s.newSeg {
+		return nil
+	}
+	err := syncDir(s.dir)
+	s.newSeg = err != nil
+	return err
 }
 
 // Syncs reports the number of real fsyncs issued (bench instrumentation).
@@ -354,6 +372,9 @@ func (s *SegmentWAL) Close() error {
 	}
 	err := syncClose(s.f)
 	s.f = nil
+	if derr := s.syncNewSeg(); err == nil {
+		err = derr
+	}
 	return err
 }
 

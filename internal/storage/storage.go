@@ -97,6 +97,23 @@ func removeTempFiles(dir string) {
 	}
 }
 
+// dirSynced, when set, observes every directory fsync (tests).
+var dirSynced func(dir string)
+
+// syncDir fsyncs dir: POSIX promises that the creations and renames of its
+// entries survive a crash only after that.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = syncClose(d)
+	if dirSynced != nil {
+		dirSynced(dir)
+	}
+	return err
+}
+
 // SetRecorder wires metrics.
 func (s *NodeStorage) SetRecorder(r obs.Recorder) {
 	s.mu.Lock()

@@ -107,7 +107,9 @@ type Txn struct {
 // FirstLSN returns the LSN of the transaction's first WAL record, or zero if
 // it has not logged anything. Migration uses the minimum FirstLSN over
 // active transactions to pick a propagation start position that covers every
-// change that may commit after the migration snapshot (§3.3).
+// change that may commit after the migration snapshot (§3.3). A cluster
+// coordinator commits a transaction whose participants all report zero in
+// one round at its snapshot: it wrote nothing, so no vote can change that.
 func (t *Txn) FirstLSN() wal.LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
