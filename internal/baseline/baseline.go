@@ -180,7 +180,7 @@ func startPush(c *cluster.Cluster, shards []base.ShardID, dstID base.NodeID, opt
 	}
 
 	opts.phase("async-propagation", "snapshot-copy", src)
-	st.rep = repl.NewReplayer(dst, opts.Workers, nil, opts.Recorder)
+	st.rep = repl.NewReplayer(dst, opts.Workers, nil, nil, opts.Recorder)
 	st.prop = repl.StartPropagator(src, st.rep, repl.PropagatorConfig{
 		Shards: st.set, SnapTS: snapTS, StartLSN: startLSN,
 		Recorder: opts.Recorder,

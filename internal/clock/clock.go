@@ -50,14 +50,23 @@ type Oracle interface {
 
 // GTS is the control-plane sequencer. One GTS instance is shared by every
 // node in the cluster; nodes reach it through a per-node NewGTSClient whose
-// delay hook models the network round trip to the control plane.
+// delay hook models the network round trip to the control plane, or lease
+// blocks of timestamps from it through Slot (blocks.go).
 type GTS struct {
 	counter atomic.Uint64
+
+	mu     sync.Mutex // serializes lease grants
+	blocks blockLedger
 }
 
-// NewGTS returns a sequencer starting above the bootstrap timestamp.
-func NewGTS() *GTS {
-	g := &GTS{}
+// NewGTS returns a sequencer starting above the bootstrap timestamp, with
+// stride 1: every lease is a contiguous range.
+func NewGTS() *GTS { return NewStridedGTS(1) }
+
+// NewStridedGTS returns a sequencer whose leases interleave up to stride
+// slots in one block (1 <= stride <= 64).
+func NewStridedGTS(stride int) *GTS {
+	g := &GTS{blocks: newBlockLedger(stride)}
 	g.counter.Store(uint64(base.TsBootstrap) + 1)
 	return g
 }
@@ -67,16 +76,25 @@ func (g *GTS) Next() base.Timestamp {
 	return base.Timestamp(g.counter.Add(1))
 }
 
-// Lease atomically reserves n consecutive timestamps and returns the first.
-// The caller owns [first, first+n-1] exclusively; Lease(1) is Next(). Leased
-// ranges from concurrent clients are disjoint, so every timestamp the
-// cluster ever sees is still globally unique.
-func (g *GTS) Lease(n uint64) base.Timestamp {
+// grant hands slot a lease of n timestamps: its row of the newest block, or
+// of a fresh block above the counter. The counter covers every block, so
+// Next and fresh blocks stay above every lease.
+func (g *GTS) grant(slot, n uint64) LeaseGrant {
 	if n == 0 {
 		n = 1
 	}
-	end := g.counter.Add(n)
-	return base.Timestamp(end - n + 1)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if l, ok := g.blocks.share(slot, n); ok {
+		return l
+	}
+	for {
+		cur := g.counter.Load()
+		start, last := g.blocks.span(cur+1, n)
+		if g.counter.CompareAndSwap(cur, last) {
+			return g.blocks.open(start, slot, n)
+		}
+	}
 }
 
 // Current returns the latest issued timestamp without advancing the sequence.
@@ -87,7 +105,11 @@ func (g *GTS) Current() base.Timestamp {
 // AdvanceTo raises the sequence so no future timestamp is issued at or below
 // ts. Restart-from-disk recovery uses it: the sequencer state is not
 // persisted, so it must be pushed past every timestamp recovered from disk.
+// The newest block is retired, since its free rows may lie below ts.
 func (g *GTS) AdvanceTo(ts base.Timestamp) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.blocks.retire()
 	for {
 		cur := g.counter.Load()
 		if cur >= uint64(ts) || g.counter.CompareAndSwap(cur, uint64(ts)) {

@@ -15,25 +15,32 @@ import (
 	"remus/internal/base"
 )
 
-// LeaseGrant is one granted timestamp range: the caller owns
-// [Start, Start+Count-1] exclusively, under fencing epoch Epoch.
+// LeaseGrant is one granted lease: the caller owns the Count timestamps
+// Start + j·Stride (j < Count) exclusively, under fencing epoch Epoch. They
+// are the caller's row of one block of Count·Stride timestamps (blocks.go);
+// at Stride 1 the lease is the contiguous range [Start, End()].
 type LeaseGrant struct {
-	Start base.Timestamp
-	Count uint64
-	Epoch uint64
+	Start  base.Timestamp
+	Count  uint64
+	Stride uint64
+	Epoch  uint64
+	// Shared reports that the block was opened by an earlier grant to
+	// another slot, so it need not lie above every timestamp issued so far.
+	// A fresh (unshared) block always does.
+	Shared bool
 }
 
 // End returns the last timestamp of the grant (inclusive).
 func (g LeaseGrant) End() base.Timestamp {
-	return g.Start + base.Timestamp(g.Count) - 1
+	return g.Start + base.Timestamp((g.Count-1)*g.Stride)
 }
 
-// Leaser grants fenced timestamp leases. Implementations: *GTS (in-process,
-// infallible, epoch pinned to 0) and *OracleClient (networked, replicated,
-// fenced).
+// Leaser grants fenced timestamp leases to one slot of a granter.
+// Implementations: GTS.Slot handles (in-process, infallible, epoch pinned
+// to 0) and *OracleClient (networked, replicated, fenced).
 type Leaser interface {
-	// GrantLease reserves n consecutive timestamps under the caller's
-	// fencing epoch. Epoch 0 means "any" — a client bootstrapping or
+	// GrantLease reserves n timestamps (one row of a block) under the
+	// caller's fencing epoch. Epoch 0 means "any" — a client bootstrapping or
 	// recovering that has no epoch yet; the grant's Epoch tells it the
 	// current one. A stale non-zero epoch fails with a FencedError carrying
 	// the current epoch; transient unavailability fails with ErrOracleDown
@@ -67,17 +74,26 @@ func (e *FencedError) Error() string {
 // Is matches the ErrLeaseFenced sentinel.
 func (e *FencedError) Is(target error) bool { return target == ErrLeaseFenced }
 
-// GrantLease implements Leaser on the in-process sequencer: infallible,
-// always epoch 0 (a single shared *GTS is never fenced). Lease(1) semantics
-// keep the per-request protocol byte-identical.
-func (g *GTS) GrantLease(_, n uint64) (LeaseGrant, error) {
-	if n == 0 {
-		n = 1
-	}
-	return LeaseGrant{Start: g.Lease(n), Count: n}, nil
+// Slot returns the Leaser through which one node draws slot i of every
+// block of the in-process sequencer (i < stride; larger values wrap, which
+// stays unique because the granter hands each slot of a block out once).
+func (g *GTS) Slot(i int) Leaser { return gtsSlot{g: g, slot: uint64(i)} }
+
+// gtsSlot is one node's handle on a shared *GTS.
+type gtsSlot struct {
+	g    *GTS
+	slot uint64
 }
 
-var _ Leaser = (*GTS)(nil)
+// GrantLease implements Leaser: infallible, always epoch 0 (a single shared
+// *GTS is never fenced). At stride 1 every grant is a fresh block of n
+// timestamps, so lease 1 keeps the per-request protocol byte-identical.
+func (s gtsSlot) GrantLease(_, n uint64) (LeaseGrant, error) { return s.g.grant(s.slot, n), nil }
+
+// Current implements Leaser.
+func (s gtsSlot) Current() base.Timestamp { return s.g.Current() }
+
+var _ Leaser = gtsSlot{}
 
 // HWMStore persists the oracle's (fencing epoch, timestamp high-water mark)
 // pair. The replicated oracle writes it before any grant above the stored

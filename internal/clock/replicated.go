@@ -259,11 +259,11 @@ func (r *Replica) Recover() {
 	r.crashed.Store(false)
 }
 
-// grant reserves n timestamps under the client's fencing epoch. It enforces,
-// in order: liveness (crashed replicas answer nothing), role (standbys
-// refuse), the fencing invariant (stale epochs are rejected with the current
-// one), and persist-before-grant (the durable mark must cover the grant
-// before it escapes).
+// grant reserves n contiguous timestamps (a block of stride 1, DESIGN §7)
+// under the client's fencing epoch. It enforces, in order: liveness (crashed
+// replicas answer nothing), role (standbys refuse), the fencing invariant
+// (stale epochs are rejected with the current one), and persist-before-grant
+// (the durable mark must cover the grant before it escapes).
 func (r *Replica) grant(epoch, n uint64) (LeaseGrant, error) {
 	if n == 0 {
 		n = 1
@@ -301,7 +301,7 @@ func (r *Replica) grant(epoch, n uint64) (LeaseGrant, error) {
 		}
 		r.reserved = ceiling
 	}
-	g := LeaseGrant{Start: base.Timestamp(r.next), Count: n, Epoch: r.epoch}
+	g := LeaseGrant{Start: base.Timestamp(r.next), Count: n, Stride: 1, Epoch: r.epoch}
 	r.next += n
 	return g, nil
 }

@@ -48,9 +48,12 @@ type Config struct {
 	// Recorder, if non-nil, is installed on the interconnect and on every
 	// node's transaction manager (including nodes added later by AddNode).
 	Recorder obs.Recorder
-	// LeaseSize, under GTS, makes every node lease contiguous timestamp
-	// ranges of this size from the sequencer (clock.LeasedOracle) instead of
-	// one round trip per timestamp. Values <= 1 keep the per-request
+	// LeaseSize, under GTS, makes every node lease this many timestamps per
+	// sequencer round trip (clock.LeasedOracle) instead of one round trip per
+	// timestamp. On the in-process sequencer leases are interleaved: node i
+	// draws the timestamps of residue class i-1 of a block shared by every
+	// node, so a peer's timestamp does not end the local lease (OracleHA
+	// leases stay contiguous ranges). Values <= 1 keep the per-request
 	// GTSClient protocol. Ignored under DTS.
 	LeaseSize int
 	// Epoch, when Epoch.Txns >= 1, enables epoch-based group commit on every
@@ -76,6 +79,13 @@ type Config struct {
 	// added. Empty Dir keeps the cluster purely in-memory.
 	Storage storage.Config
 }
+
+// leaseStride is the stride of the cluster's in-process sequencer: the
+// number of node slots interleaved in one lease block. It must be at least
+// the node count of any cluster that leases timestamps from it (the repo
+// builds at most five nodes: four plus a scale-out); AddNode checks it. The
+// replicated oracle keeps stride 1 (contiguous leases).
+const leaseStride = 8
 
 // Cluster is the whole database.
 type Cluster struct {
@@ -110,7 +120,7 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:       cfg,
 		net:       simnet.New(cfg.Net),
-		gts:       clock.NewGTS(),
+		gts:       clock.NewStridedGTS(leaseStride),
 		src:       clock.WallClock(),
 		nodes:     make(map[base.NodeID]*node.Node),
 		storage:   make(map[base.NodeID]*storage.NodeStorage),
@@ -197,7 +207,11 @@ func (c *Cluster) AddNode() *node.Node {
 			// the per-request protocol, one grant per timestamp.
 			oracle = clock.NewLeasedOracleFrom(clock.NewOracleClient(c.oracleHA, id), nil, c.cfg.LeaseSize, c.cfg.Faults)
 		} else if c.cfg.LeaseSize > 1 {
-			oracle = clock.NewLeasedOracle(c.gts, func() { c.net.RoundTrip(16) }, c.cfg.LeaseSize, c.cfg.Faults)
+			if int(id) > leaseStride {
+				c.mu.Unlock()
+				panic(fmt.Sprintf("cluster: node %v exceeds the %d lease slots of the timestamp sequencer", id, leaseStride))
+			}
+			oracle = clock.NewLeasedOracleFrom(c.gts.Slot(int(id)-1), func() { c.net.RoundTrip(16) }, c.cfg.LeaseSize, c.cfg.Faults)
 		} else {
 			oracle = clock.NewGTSClient(c.gts, func() { c.net.RoundTrip(16) })
 		}

@@ -204,7 +204,7 @@ func (c *Cluster) recoverNode(n *node.Node, st *storage.NodeStorage) error {
 	}
 
 	if len(commits) > 0 {
-		rep := repl.NewReplayer(n, recoveryWorkers, nil, nil)
+		rep := repl.NewReplayer(n, recoveryWorkers, nil, nil, nil)
 		for _, t := range commits {
 			rep.SubmitApply(t.xid, t.gid, t.startTS, t.commitTS, t.records)
 		}

@@ -386,7 +386,7 @@ func (m *Migration) Run() (*Report, error) {
 		shardSet[id] = true
 	}
 	m.gate = newMOCCGate(m.shards, m.opts.ValidationTimeout, m.opts.Recorder)
-	m.rep = repl.NewReplayer(m.dst, m.opts.Workers, m.gate.sink, m.opts.Recorder)
+	m.rep = repl.NewReplayer(m.dst, m.opts.Workers, m.gate.sink, m.opts.Faults, m.opts.Recorder)
 	m.prop = repl.StartPropagator(m.src, m.rep, repl.PropagatorConfig{
 		Shards:         shardSet,
 		SnapTS:         snapTS,

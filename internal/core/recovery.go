@@ -219,7 +219,7 @@ func (m *Migration) rebuildPipeline() error {
 	// No validation sink: verdicts have nowhere to go (the gate is
 	// poisoned); re-validated shadows resolve through the commit/abort
 	// records that follow in the WAL.
-	m.rep = repl.NewReplayer(m.dst, m.opts.Workers, func(base.XID, error) {}, m.opts.Recorder)
+	m.rep = repl.NewReplayer(m.dst, m.opts.Workers, func(base.XID, error) {}, m.opts.Faults, m.opts.Recorder)
 	m.prop = repl.StartPropagator(m.src, m.rep, repl.PropagatorConfig{
 		Shards:         shardSet,
 		SnapTS:         m.report.SnapTS,

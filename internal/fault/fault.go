@@ -84,6 +84,12 @@ const (
 	// leases. A Do typically crashes the rejecting (new) primary, stacking a
 	// second failover on the first.
 	SiteStaleLeaseReject Site = "clock/stale-lease-reject"
+	// SiteValidateStart fires in the replay worker as it starts a MOCC
+	// validation task, before the shadow transaction begins. It is a
+	// schedule point rather than a crash site: a Do that parks the worker
+	// lets a test order other replay work around a pending validation. It
+	// is in neither Sites() nor OracleSites(), whose sweeps crash nodes.
+	SiteValidateStart Site = "repl/validate-start"
 )
 
 var allSites = []Site{

@@ -36,7 +36,7 @@ func benchmarkShipCatchup(b *testing.B, group int) {
 	runtime.GC() // the setup heap is large; don't bill its collection to the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
-	rep := NewReplayer(p.dst, 4, nil, nil)
+	rep := NewReplayer(p.dst, 4, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:     map[base.ShardID]bool{testShard: true},
 		SnapTS:     snapTS,
@@ -102,7 +102,7 @@ func BenchmarkReplayApply(b *testing.B) {
 	if len(specs) != b.N {
 		b.Fatalf("extracted %d apply specs, want %d", len(specs), b.N)
 	}
-	rep := NewReplayer(p.dst, 8, nil, nil)
+	rep := NewReplayer(p.dst, 8, nil, nil, nil)
 	defer rep.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

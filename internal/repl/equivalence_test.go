@@ -37,7 +37,7 @@ func runEquivalenceHistory(t *testing.T, seed uint64, mut func(*PropagatorConfig
 	if mut != nil {
 		mut(&cfg)
 	}
-	rep := NewReplayer(p.dst, 6, nil, nil)
+	rep := NewReplayer(p.dst, 6, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, cfg)
 	t.Cleanup(func() {
 		prop.Stop()

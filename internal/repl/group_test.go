@@ -76,7 +76,7 @@ func TestGroupCoalescesBacklog(t *testing.T) {
 				StartLSN: startLSN,
 			}
 			tc.mut(&cfg)
-			rep := NewReplayer(p.dst, 4, nil, nil)
+			rep := NewReplayer(p.dst, 4, nil, nil, nil)
 			prop := StartPropagator(p.src, rep, cfg)
 			defer func() {
 				prop.Stop()
@@ -151,7 +151,7 @@ func TestGroupedValidationOrdersAfterParkedCommits(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	rep := NewReplayer(p.dst, 4, gate.sink, nil)
+	rep := NewReplayer(p.dst, 4, gate.sink, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:     map[base.ShardID]bool{testShard: true},
 		SnapTS:     snapTS,
@@ -234,7 +234,7 @@ func TestRestartFloorCoversLostGroup(t *testing.T) {
 	// The very first ship — the idle flush carrying the whole group — dies.
 	reg := fault.NewRegistry(3)
 	reg.Arm(fault.SiteShipBatch, fault.Action{Err: fault.ErrInjected, Once: true})
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:     map[base.ShardID]bool{testShard: true},
 		SnapTS:     snapTS,
@@ -277,7 +277,7 @@ func TestRestartFloorCoversLostGroup(t *testing.T) {
 	if floor < restart {
 		restart = floor
 	}
-	rep2 := NewReplayer(p.dst, 2, nil, nil)
+	rep2 := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop2 := StartPropagator(p.src, rep2, PropagatorConfig{
 		Shards:   map[base.ShardID]bool{testShard: true},
 		SnapTS:   snapTS,

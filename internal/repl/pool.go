@@ -10,8 +10,9 @@ import (
 // one update cache queue and one record slice per source transaction and the
 // replayer retires them at the same rate, so both are recycled through
 // sync.Pools. Only async-phase (taskApply) record slices are pooled on the
-// replay side — a validation task's records stay referenced by its prepared
-// shadow (SubmitCommitShadow/SubmitAbortShadow re-registers them), and task
+// replay side — a validation task's records stay referenced until its
+// shadow's outcome task (SubmitCommitShadow/SubmitAbortShadow) re-registers
+// them, and task
 // structs themselves are never pooled because the dependency index retains
 // completed-task pointers (recycling one would alias a dependency's done
 // channel).

@@ -122,7 +122,7 @@ func TestCopySnapshotMissingShards(t *testing.T) {
 // startStream spins up replayer + propagator over the pair.
 func (p *pair) startStream(t *testing.T, snapTS base.Timestamp, startLSN wal.LSN, sink func(base.XID, error), workers int) (*Replayer, *Propagator) {
 	t.Helper()
-	rep := NewReplayer(p.dst, workers, sink, nil)
+	rep := NewReplayer(p.dst, workers, sink, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:   map[base.ShardID]bool{testShard: true},
 		SnapTS:   snapTS,
@@ -256,7 +256,7 @@ func TestSpillToDisk(t *testing.T) {
 	if _, err := CopySnapshot(p.src, p.dst, testShard, snapTS, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:         map[base.ShardID]bool{testShard: true},
 		SnapTS:         snapTS,
@@ -569,7 +569,7 @@ func TestResolveResidualShadow(t *testing.T) {
 
 func TestReplayerCloseIdempotent(t *testing.T) {
 	p := newPair(t)
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	rep.Close()
 	rep.Close()
 }

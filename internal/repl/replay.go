@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"remus/internal/base"
+	"remus/internal/fault"
 	"remus/internal/mvcc"
 	"remus/internal/node"
 	"remus/internal/obs"
@@ -101,18 +102,13 @@ func stripeOf(k depKey) uint32 {
 	return h & (depStripes - 1)
 }
 
-// shadowState tracks a prepared shadow transaction awaiting its outcome.
-type shadowState struct {
-	txn  *txn.Txn
-	task *task // the validation task (commit/abort depend on it)
-}
-
 // Replayer applies propagated source transactions on the destination node,
 // in source commit order per tuple, in parallel across disjoint
 // transactions.
 type Replayer struct {
 	dst     *node.Node
 	workers int
+	faults  *fault.Registry
 	rec     obs.Recorder
 
 	tasks chan *task
@@ -125,8 +121,12 @@ type Replayer struct {
 	stripes [depStripes]depStripe
 
 	mu      sync.Mutex
-	shadows map[base.XID]*shadowState
-	closed  bool
+	shadows map[base.XID]*txn.Txn // prepared shadows awaiting their outcome
+	// validating holds each xid's validate task until the shadow's commit
+	// or abort is submitted. The outcome depends on it: it must not run
+	// before the shadow it resolves exists.
+	validating map[base.XID]*task
+	closed     bool
 
 	// closing unsticks enqueuers blocked on a full task queue when Close
 	// runs (a dead migration's propagator must not deadlock recovery), and
@@ -160,21 +160,24 @@ type Replayer struct {
 // propagator ships over).
 func (r *Replayer) NodeID() base.NodeID { return r.dst.ID() }
 
-// NewReplayer starts a replay pool of the given parallelism on dst. rec may
-// be nil (observability disabled).
-func NewReplayer(dst *node.Node, workers int, sink func(base.XID, error), rec obs.Recorder) *Replayer {
+// NewReplayer starts a replay pool of the given parallelism on dst. faults
+// (fault.SiteValidateStart) and rec may be nil (injection/observability
+// disabled).
+func NewReplayer(dst *node.Node, workers int, sink func(base.XID, error), faults *fault.Registry, rec obs.Recorder) *Replayer {
 	if workers <= 0 {
 		workers = 1
 	}
 	r := &Replayer{
-		dst:     dst,
-		workers: workers,
-		rec:     rec,
-		tasks:   make(chan *task, 4096),
-		shadows: make(map[base.XID]*shadowState),
-		closing: make(chan struct{}),
-		prog:    newNotifier(),
-		sink:    sink,
+		dst:        dst,
+		workers:    workers,
+		faults:     faults,
+		rec:        rec,
+		tasks:      make(chan *task, 4096),
+		shadows:    make(map[base.XID]*txn.Txn),
+		validating: make(map[base.XID]*task),
+		closing:    make(chan struct{}),
+		prog:       newNotifier(),
+		sink:       sink,
 	}
 	for i := range r.stripes {
 		r.stripes[i].last = make(map[depKey]*task)
@@ -286,7 +289,11 @@ func (r *Replayer) SubmitApply(xid base.XID, globalID base.TxnID, startTS, commi
 // SubmitValidate schedules the MOCC validation of a synchronized source
 // transaction; the outcome reaches the validation sink.
 func (r *Replayer) SubmitValidate(xid base.XID, globalID base.TxnID, startTS base.Timestamp, records []wal.Record) {
-	r.enqueue(&task{kind: taskValidate, xid: xid, globalID: globalID, startTS: startTS, records: records})
+	t := &task{kind: taskValidate, xid: xid, globalID: globalID, startTS: startTS, records: records}
+	r.mu.Lock()
+	r.validating[xid] = t
+	r.mu.Unlock()
+	r.enqueue(t)
 }
 
 // SubmitCommitShadow schedules the commit of a prepared shadow transaction.
@@ -294,21 +301,28 @@ func (r *Replayer) SubmitValidate(xid base.XID, globalID base.TxnID, startTS bas
 // orders after the shadow's commit (the shadow holds their row locks until
 // then).
 func (r *Replayer) SubmitCommitShadow(xid base.XID, commitTS base.Timestamp) {
-	var records []wal.Record
-	if s, ok := r.shadowFor(xid); ok {
-		records = s.task.records
-	}
-	r.enqueue(&task{kind: taskCommitShadow, xid: xid, commitTS: commitTS, records: records})
+	r.enqueue(r.outcomeTask(taskCommitShadow, xid, commitTS))
 }
 
 // SubmitAbortShadow schedules the rollback of a prepared shadow transaction
 // (no-op if validation already failed and nothing is prepared).
 func (r *Replayer) SubmitAbortShadow(xid base.XID) {
-	var records []wal.Record
-	if s, ok := r.shadowFor(xid); ok {
-		records = s.task.records
+	r.enqueue(r.outcomeTask(taskAbortShadow, xid, 0))
+}
+
+// outcomeTask builds the commit or abort task of xid's shadow, ordered
+// behind xid's validate task and re-registering its keys.
+func (r *Replayer) outcomeTask(kind taskKind, xid base.XID, commitTS base.Timestamp) *task {
+	t := &task{kind: kind, xid: xid, commitTS: commitTS}
+	r.mu.Lock()
+	v := r.validating[xid]
+	delete(r.validating, xid)
+	r.mu.Unlock()
+	if v != nil {
+		t.deps = []*task{v}
+		t.records = v.records
 	}
-	r.enqueue(&task{kind: taskAbortShadow, xid: xid, records: records})
+	return t
 }
 
 // Barrier blocks until every task enqueued before the call has completed.
@@ -362,8 +376,8 @@ func (r *Replayer) worker() {
 		// Apply-task record slices recycle once the task is done: the
 		// dependency index retains the task pointer (dependents wait on
 		// done, not records), but nothing reads an apply task's records
-		// again. Validation records stay — the prepared shadow state and
-		// the commit/abort shadow tasks share them.
+		// again. Validation records stay — the commit/abort shadow task
+		// re-registers them.
 		var recycle []wal.Record
 		if t.kind == taskApply {
 			recycle = t.records
@@ -469,6 +483,9 @@ func (r *Replayer) runApply(t *task) error {
 // shadow is 2PC-prepared; its prepared status blocks destination readers of
 // its writes until the commit decision arrives (distributed SI).
 func (r *Replayer) runValidate(t *task) error {
+	if err := r.faults.Eval(fault.SiteValidateStart); err != nil {
+		return fmt.Errorf("repl: validate %v: %w", t.xid, err)
+	}
 	shadow := r.dst.Manager().Begin(t.globalID, t.startTS)
 	if err := r.applyRecords(shadow, t.records); err != nil {
 		_ = shadow.Abort()
@@ -487,26 +504,18 @@ func (r *Replayer) runValidate(t *task) error {
 		return err
 	}
 	r.mu.Lock()
-	r.shadows[t.xid] = &shadowState{txn: shadow, task: t}
+	r.shadows[t.xid] = shadow
 	r.mu.Unlock()
 	return nil
 }
 
-func (r *Replayer) takeShadow(xid base.XID) (*shadowState, bool) {
+func (r *Replayer) takeShadow(xid base.XID) (*txn.Txn, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.shadows[xid]
 	if ok {
 		delete(r.shadows, xid)
 	}
-	return s, ok
-}
-
-// shadowFor returns the prepared shadow state without removing it.
-func (r *Replayer) shadowFor(xid base.XID) (*shadowState, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.shadows[xid]
 	return s, ok
 }
 
@@ -521,7 +530,7 @@ func (r *Replayer) runCommitShadow(t *task) error {
 		}
 		return fmt.Errorf("repl: commit of unknown shadow for %v", t.xid)
 	}
-	return s.txn.CommitAt(t.commitTS)
+	return s.CommitAt(t.commitTS)
 }
 
 func (r *Replayer) runAbortShadow(t *task) error {
@@ -535,7 +544,7 @@ func (r *Replayer) runAbortShadow(t *task) error {
 			Cause: obs.CauseMigration, Note: "prepared shadow rolled back",
 		})
 	}
-	return s.txn.Abort()
+	return s.Abort()
 }
 
 // PreparedShadows reports the number of prepared shadows awaiting outcomes
@@ -566,7 +575,7 @@ func (r *Replayer) ResolveShadow(xid base.XID, commit bool, cts base.Timestamp) 
 		return fmt.Errorf("repl: resolve of unknown shadow for %v", xid)
 	}
 	if commit {
-		return s.txn.CommitAt(cts)
+		return s.CommitAt(cts)
 	}
-	return s.txn.Abort()
+	return s.Abort()
 }

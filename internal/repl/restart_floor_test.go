@@ -31,7 +31,7 @@ func TestRestartFloorCoversStraddlingCommit(t *testing.T) {
 	reg := fault.NewRegistry(3)
 	reg.Arm(fault.SiteShipBatch, fault.Action{Err: fault.ErrInjected, After: 1, Once: true})
 
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:   map[base.ShardID]bool{testShard: true},
 		SnapTS:   snapTS,
@@ -88,7 +88,7 @@ func TestRestartFloorCoversStraddlingCommit(t *testing.T) {
 
 	// A replacement stream from the floored position must deliver A whole
 	// and leave B's re-delivered copy deduplicated.
-	rep2 := NewReplayer(p.dst, 2, nil, nil)
+	rep2 := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop2 := StartPropagator(p.src, rep2, PropagatorConfig{
 		Shards:   map[base.ShardID]bool{testShard: true},
 		SnapTS:   snapTS,

@@ -32,7 +32,7 @@ func TestSpillDirEmptyAfterClose(t *testing.T) {
 	spillDir := t.TempDir()
 	snapTS := p.src.Oracle().StartTS()
 	startLSN := p.src.WAL().FlushLSN() + 1
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:         map[base.ShardID]bool{testShard: true},
 		SnapTS:         snapTS,

@@ -32,7 +32,7 @@ func TestSpillReplayIdempotentAfterShipFault(t *testing.T) {
 	reg.Arm(fault.SiteShipBatch, fault.Action{Err: fault.ErrInjected, After: 2, Once: true})
 
 	spillDir := t.TempDir()
-	rep := NewReplayer(p.dst, 2, nil, nil)
+	rep := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop := StartPropagator(p.src, rep, PropagatorConfig{
 		Shards:         map[base.ShardID]bool{testShard: true},
 		SnapTS:         snapTS,
@@ -78,7 +78,7 @@ func TestSpillReplayIdempotentAfterShipFault(t *testing.T) {
 	rep.Close()
 
 	// Restart from the original LSN: full overlap with what already landed.
-	rep2 := NewReplayer(p.dst, 2, nil, nil)
+	rep2 := NewReplayer(p.dst, 2, nil, nil, nil)
 	prop2 := StartPropagator(p.src, rep2, PropagatorConfig{
 		Shards:         map[base.ShardID]bool{testShard: true},
 		SnapTS:         snapTS,
