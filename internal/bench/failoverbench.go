@@ -11,7 +11,6 @@ import (
 	"remus/internal/cluster"
 	"remus/internal/obs"
 	"remus/internal/simnet"
-	"remus/internal/txn"
 	"remus/internal/workload"
 )
 
@@ -42,9 +41,6 @@ type FailoverBenchConfig struct {
 	// Lease is the timestamp lease size (leasing rides through failover via
 	// the fencing-epoch re-lease, so the bench runs with realistic leases).
 	Lease int
-	// EpochTxns/EpochDelay shape group commit.
-	EpochTxns  int
-	EpochDelay time.Duration
 	// Replicas is the oracle group size.
 	Replicas int
 	// Batch is the HWM reservation batch (how many grants one fsync covers).
@@ -65,8 +61,6 @@ func DefaultFailoverBenchConfig() FailoverBenchConfig {
 		Duration:   1200 * time.Millisecond,
 		CrashAfter: 400 * time.Millisecond,
 		Lease:      64,
-		EpochTxns:  16,
-		EpochDelay: 200 * time.Microsecond,
 		Replicas:   2,
 		Batch:      1024,
 		Net:        simnet.Config{Latency: 25 * time.Microsecond},
@@ -133,7 +127,6 @@ func runFailoverBenchOnce(cfg FailoverBenchConfig, p FailoverPoint) (FailoverBen
 		Scheme:    cluster.GTS,
 		Net:       cfg.Net,
 		LeaseSize: cfg.Lease,
-		Epoch:     txn.EpochConfig{Txns: cfg.EpochTxns, Delay: cfg.EpochDelay},
 		Recorder:  rec,
 		OracleHA: &clock.HAConfig{
 			Replicas:  cfg.Replicas,

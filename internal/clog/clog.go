@@ -54,8 +54,8 @@ func unpackWord(w uint64) Entry {
 // Decided reports whether the entry is a decided transaction: prepared, so
 // readers still prepare-wait, but carrying its commit timestamp, so the
 // outcome is final — SetAborted refuses it and SetCommitted accepts only that
-// timestamp. Epoch group commit parks its members in this state until the
-// seal publishes them.
+// timestamp. A commit holds its word in this state while its commit record
+// is synced, so no reader sees a commit that is not yet durable.
 func (e Entry) Decided() bool { return e.Status == base.StatusPrepared && e.CommitTS != 0 }
 
 // Ref is a stable handle on one transaction's CLOG record. Holders resolve

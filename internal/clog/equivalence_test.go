@@ -275,7 +275,7 @@ func TestStripedIllegalTransitionsMatchReference(t *testing.T) {
 }
 
 // TestStripedDecidedMatchesReference checks the decided transition — the
-// epoch-parked commit — against the reference: a decided record refuses
+// commit whose record is being synced — against the reference: a decided record refuses
 // abort, a second decision and a commit at another timestamp, commits at its
 // own, and stays live (prepare-wait, no Forget) until then.
 func TestStripedDecidedMatchesReference(t *testing.T) {

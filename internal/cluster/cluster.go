@@ -20,7 +20,6 @@ import (
 	"remus/internal/shard"
 	"remus/internal/simnet"
 	"remus/internal/storage"
-	"remus/internal/txn"
 )
 
 // TimestampScheme selects the timestamp-ordering protocol (§2.2).
@@ -56,12 +55,9 @@ type Config struct {
 	// leases stay contiguous ranges). Values <= 1 keep the per-request
 	// GTSClient protocol. Ignored under DTS.
 	LeaseSize int
-	// Epoch, when Epoch.Txns >= 1, enables epoch-based group commit on every
-	// node's transaction manager (txn.SetEpoch).
-	Epoch txn.EpochConfig
 	// Faults, if non-nil, is threaded into the leased oracles (the
-	// fault.SiteLeaseRefresh site); epoch-seal faulting is configured via
-	// Epoch.Faults.
+	// fault.SiteLeaseRefresh site) and every node's transaction manager
+	// (fault.SiteCommitPublish).
 	Faults *fault.Registry
 	// OracleHA, when non-nil under GTS, replaces the in-process sequencer
 	// with a replicated primary/standby oracle group (clock.ReplicatedGTS):
@@ -226,9 +222,7 @@ func (c *Cluster) AddNode() *node.Node {
 	if c.cfg.Recorder != nil {
 		n.SetRecorder(c.cfg.Recorder)
 	}
-	if c.cfg.Epoch.Txns >= 1 {
-		n.Manager().SetEpoch(c.cfg.Epoch)
-	}
+	n.Manager().SetFaults(c.cfg.Faults)
 	c.nodes[id] = n
 	c.nodeIDs = append(c.nodeIDs, id)
 	var donor *node.Node

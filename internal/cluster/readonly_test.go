@@ -7,11 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"remus/internal/base"
 	"remus/internal/clock"
 	"remus/internal/shard"
 	"remus/internal/simnet"
+	"remus/internal/storage"
 	"remus/internal/wal"
 )
 
@@ -80,8 +82,8 @@ func gtsRequests(t *testing.T, c *Cluster) uint64 {
 
 // TestReadOnlyCommitOneRound: a transaction that read on all three nodes
 // and wrote nothing commits in one round at its snapshot. Each remote
-// participant costs one round trip, no commit timestamp is drawn, and every
-// participant still logs and syncs its prepare and commit records.
+// participant costs one round trip, and no participant logs a record: a
+// transaction that made nothing has nothing to make durable.
 func TestReadOnlyCommitOneRound(t *testing.T) {
 	c := newCluster(t, 3, DTS)
 	tbl := mustTable(t, c, "kv", 3)
@@ -93,6 +95,10 @@ func TestReadOnlyCommitOneRound(t *testing.T) {
 		t.Fatalf("transaction touched %d nodes, want 3", tx.Participants())
 	}
 	before := c.Net().Messages()
+	tails := make(map[base.NodeID]wal.LSN)
+	for _, n := range c.Nodes() {
+		tails[n.ID()] = n.WAL().FlushLSN()
+	}
 	cts, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
@@ -107,48 +113,75 @@ func TestReadOnlyCommitOneRound(t *testing.T) {
 		if got := n.Manager().ActiveCount(); got != 0 {
 			t.Errorf("%v keeps %d active transactions", n.ID(), got)
 		}
-		l := n.WAL()
-		var prepared, committed wal.LSN
-		for lsn := l.FirstLSN(); lsn <= l.FlushLSN(); lsn++ {
-			r, ok := l.Get(lsn)
-			if !ok || r.Txn != tx.ID() {
-				continue
-			}
-			switch r.Type {
-			case wal.RecPrepare:
-				prepared = lsn
-			case wal.RecCommit:
-				committed = lsn
-			}
-		}
-		if prepared == 0 || committed <= prepared {
-			t.Errorf("%v WAL: prepare at %d, commit at %d; want both, prepare first", n.ID(), prepared, committed)
-		}
-		if synced := l.SyncedLSN(); synced < committed {
-			t.Errorf("%v WAL synced to %d, before the commit record at %d", n.ID(), synced, committed)
+		if got := n.WAL().FlushLSN(); got != tails[n.ID()] {
+			t.Errorf("%v WAL grew from %d to %d; a read-only commit logs nothing", n.ID(), tails[n.ID()], got)
 		}
 	}
 }
 
-// TestReadOnlyCommitDrawsNoCommitTS: on an unleased GTS cluster the only
-// timestamps a read-only commit draws are the participants' prepare
-// timestamps.
+// TestReadOnlyCommitDrawsNoCommitTS: on an unleased GTS cluster a read-only
+// commit draws no timestamp at all — no prepare timestamp and no commit
+// timestamp — whether it touched one node or three.
 func TestReadOnlyCommitDrawsNoCommitTS(t *testing.T) {
 	c := newCluster(t, 3, GTS)
 	tbl := mustTable(t, c, "kv", 3)
 	keys := spreadKeys(t, c, tbl)
-	tx := readAll(t, mustSession(t, c, 1), tbl, keys)
-	before := gtsRequests(t, c)
+	s := mustSession(t, c, 1)
+	for _, read := range [][]base.Key{keys, keys[:1]} {
+		tx := readAll(t, s, tbl, read)
+		before := gtsRequests(t, c)
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := gtsRequests(t, c) - before; got != 0 {
+			t.Errorf("read-only commit on %d nodes drew %d timestamps, want 0", tx.Participants(), got)
+		}
+	}
+}
+
+// TestReadOnlyCommitSyncsNothing: on a durable cluster read-only
+// transactions, on one node or on three, issue no fsync, while a write
+// still syncs its commit record.
+func TestReadOnlyCommitSyncsNothing(t *testing.T) {
+	c := New(Config{Nodes: 3, Storage: storage.Config{Dir: t.TempDir()}})
+	t.Cleanup(c.CloseStorage)
+	tbl := mustTable(t, c, "kv", 3)
+	keys := spreadKeys(t, c, tbl)
+	s := mustSession(t, c, 1)
+	syncs := func() uint64 {
+		var sum uint64
+		for _, n := range c.Nodes() {
+			sum += n.WAL().Syncs()
+		}
+		return sum
+	}
+	before := syncs()
+	for i := 0; i < 10; i++ {
+		for _, read := range [][]base.Key{keys, keys[i%len(keys) : i%len(keys)+1]} {
+			if _, err := readAll(t, s, tbl, read).Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := syncs() - before; got != 0 {
+		t.Errorf("20 read-only commits issued %d fsyncs, want 0", got)
+	}
+	tx, _ := s.Begin()
+	if err := tx.Update(tbl, keys[0], base.Value("v1")); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := gtsRequests(t, c) - before; got != 3 {
-		t.Errorf("read-only commit drew %d timestamps, want 3 (one prepare timestamp per participant)", got)
+	if got := syncs() - before; got == 0 {
+		t.Error("a write committed without an fsync on a durable cluster")
 	}
 }
 
 // TestReadWriteCommitKeepsTwoRounds: one write among the reads restores the
-// full protocol: a prepare round, a commit timestamp, a commit round.
+// full protocol for the participant that wrote — a prepare round, a commit
+// timestamp, a commit round — while the participants that only read commit
+// in the first round and log nothing.
 func TestReadWriteCommitKeepsTwoRounds(t *testing.T) {
 	for _, scheme := range []TimestampScheme{DTS, GTS} {
 		t.Run(string(scheme), func(t *testing.T) {
@@ -164,6 +197,10 @@ func TestReadWriteCommitKeepsTwoRounds(t *testing.T) {
 			if scheme == GTS {
 				gtsBefore = gtsRequests(t, c)
 			}
+			tails := make(map[base.NodeID]wal.LSN)
+			for _, n := range c.Nodes() {
+				tails[n.ID()] = n.WAL().FlushLSN()
+			}
 			cts, err := tx.Commit()
 			if err != nil {
 				t.Fatal(err)
@@ -171,19 +208,26 @@ func TestReadWriteCommitKeepsTwoRounds(t *testing.T) {
 			if cts <= tx.StartTS() {
 				t.Errorf("read-write commit at %v, not after its snapshot %v", cts, tx.StartTS())
 			}
+			// Node 2 only read: one round trip. Node 3 wrote: two.
 			msgs := c.Net().Messages() - before
 			switch scheme {
 			case DTS:
-				if msgs != 2*4 {
-					t.Errorf("read-write commit sent %d messages, want %d (two round trips per remote participant)", msgs, 2*4)
+				if msgs != 2+4 {
+					t.Errorf("read-write commit sent %d messages, want %d", msgs, 2+4)
 				}
 			case GTS:
 				// Each timestamp is one sequencer round trip as well.
-				if got := gtsRequests(t, c) - gtsBefore; got != 4 {
-					t.Errorf("read-write commit drew %d timestamps, want 4 (three prepare, one commit)", got)
+				if got := gtsRequests(t, c) - gtsBefore; got != 2 {
+					t.Errorf("read-write commit drew %d timestamps, want 2 (the writer's prepare, the commit)", got)
 				}
-				if msgs != 2*4+2*4 {
-					t.Errorf("read-write commit sent %d messages, want %d", msgs, 2*4+2*4)
+				if msgs != 2+4+2*2 {
+					t.Errorf("read-write commit sent %d messages, want %d", msgs, 2+4+2*2)
+				}
+			}
+			for _, n := range c.Nodes() {
+				grew := n.WAL().FlushLSN() - tails[n.ID()]
+				if writer := n.ID() == 3; writer != (grew > 0) {
+					t.Errorf("%v WAL grew by %d records (writer %v)", n.ID(), grew, writer)
 				}
 			}
 		})
@@ -437,3 +481,35 @@ func BenchmarkCommitReadOnly3Nodes(b *testing.B) { benchCommit(b, false) }
 // BenchmarkCommit2PCWrite reads one row on each of three nodes, updates
 // one of them and commits through both 2PC rounds.
 func BenchmarkCommit2PCWrite(b *testing.B) { benchCommit(b, true) }
+
+// TestSessionSeesOwnWriteAfterCoordinatorSatOut: a session whose node only
+// coordinates (its participant logged nothing) writes on a node whose clock
+// runs ahead. Its participant sits out the commit round, yet the session's
+// next snapshot, drawn on the lagging node, must still see the write: the
+// coordinator's oracle drew the commit timestamp, so it is past it.
+func TestSessionSeesOwnWriteAfterCoordinatorSatOut(t *testing.T) {
+	c := New(Config{Nodes: 3, Scheme: DTS, Skew: func(i int) time.Duration {
+		if i == 2 {
+			return time.Second // node 3 runs a second ahead
+		}
+		return 0
+	}})
+	tbl := mustTable(t, c, "kv", 3)
+	keys := spreadKeys(t, c, tbl)
+	s := mustSession(t, c, 1)
+	tx, _ := s.Begin()
+	if err := tx.Update(tbl, keys[2], base.Value("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if tx.Participants() != 2 {
+		t.Fatalf("write touched %d nodes, want 2 (the coordinator and node 3)", tx.Participants())
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check, _ := s.Begin()
+	defer check.Abort()
+	if v, err := check.Get(tbl, keys[2]); err != nil || string(v) != "v1" {
+		t.Fatalf("the session's next transaction read %q, %v; want its own write v1", v, err)
+	}
+}

@@ -330,22 +330,33 @@ func (t *Txn) ScanTable(tbl *shard.Table, fn func(base.Key, base.Value) bool) er
 }
 
 // Commit finishes the transaction: single-participant fast path, or 2PC
-// with the commit timestamp folded from all prepare timestamps (§2.2). A
-// transaction no participant logged for commits in the prepare round.
+// with the commit timestamp folded from the prepare timestamps of the
+// participants that wrote (§2.2).
 func (t *Txn) Commit() (base.Timestamp, error) {
 	if t.done {
 		return 0, base.ErrTxnFinished
 	}
 	t.done = true
+	// Every write, row lock included, logs a change record, so a participant
+	// that logged nothing wrote nothing, and its outcome changes nothing: it
+	// commits at the snapshot in the first round — no record, no sync, no
+	// timestamp — and sits out the second. Nothing it could make visible
+	// needs to be durable, because it made nothing. A transaction no
+	// participant logged for is done after that round, at its snapshot.
 	switch len(t.parts) {
 	case 0:
 		return t.startTS, nil
 	case 1:
 		for id, p := range t.parts {
-			n := t.s.c.Node(id)
-			if err := t.charge(n, 64); err != nil {
+			if err := t.charge(t.s.c.Node(id), 64); err != nil {
 				_ = p.Abort()
 				return 0, fmt.Errorf("commit to %v: %w", id, err)
+			}
+			if p.FirstLSN() == 0 {
+				if err := p.CommitReadOnly(t.startTS); err != nil {
+					return 0, err
+				}
+				return t.startTS, nil
 			}
 			cts, err := p.Commit()
 			if err != nil {
@@ -355,28 +366,24 @@ func (t *Txn) Commit() (base.Timestamp, error) {
 			return cts, nil
 		}
 	}
-	// Every write, row lock included, logs a change record, so a transaction
-	// no participant logged for wrote nothing. Its outcome is known before
-	// any vote and its commit timestamp is its snapshot: each participant
-	// commits right after it prepares, and no commit timestamp is drawn. The
-	// participant still logs and syncs both records, because its commit is
-	// visible in the CLOG before its record is durable.
-	readOnly := true
-	for _, p := range t.parts {
-		readOnly = readOnly && p.FirstLSN() == 0
+	writers := make(map[base.NodeID]*txn.Txn, len(t.parts))
+	for id, p := range t.parts {
+		if p.FirstLSN() != 0 {
+			writers[id] = p
+		}
 	}
 	var mu sync.Mutex
 	var maxPrep base.Timestamp
-	err := t.round(func(id base.NodeID, p *txn.Txn, trip error) error {
+	err := t.round(t.parts, func(id base.NodeID, p *txn.Txn, trip error) error {
 		// A lost prepare message is a prepare failure: the participant
 		// never voted, so the transaction aborts.
 		if trip != nil {
 			return fmt.Errorf("prepare to %v: %w", id, trip)
 		}
-		ts, err := p.Prepare()
-		if err == nil && readOnly {
-			return p.CommitAt(t.startTS)
+		if writers[id] == nil {
+			return p.CommitReadOnly(t.startTS)
 		}
+		ts, err := p.Prepare()
 		mu.Lock()
 		maxPrep = max(maxPrep, ts)
 		mu.Unlock()
@@ -389,29 +396,29 @@ func (t *Txn) Commit() (base.Timestamp, error) {
 		}
 		return 0, err
 	}
-	if readOnly {
+	if len(writers) == 0 {
 		return t.startTS, nil
 	}
 	cts := t.s.coord.Oracle().CommitTS(maxPrep)
 	// The decision is recorded; a lost commit message does not change it
 	// (the participant resolves via 2PC recovery), so a failed trip here is
 	// not an error.
-	if err := t.round(func(_ base.NodeID, p *txn.Txn, _ error) error { return p.CommitAt(cts) }); err != nil {
+	if err := t.round(writers, func(_ base.NodeID, p *txn.Txn, _ error) error { return p.CommitAt(cts) }); err != nil {
 		return 0, err
 	}
 	return cts, nil
 }
 
-// round runs step on every participant in parallel, each after the
+// round runs step on every participant of parts in parallel, each after the
 // coordinator's round trip to its node (trip is that trip's error), and
 // returns the first error a step reports.
-func (t *Txn) round(step func(id base.NodeID, p *txn.Txn, trip error) error) error {
-	errs := make(chan error, len(t.parts))
-	for id, p := range t.parts {
+func (t *Txn) round(parts map[base.NodeID]*txn.Txn, step func(id base.NodeID, p *txn.Txn, trip error) error) error {
+	errs := make(chan error, len(parts))
+	for id, p := range parts {
 		go func() { errs <- step(id, p, t.charge(t.s.c.Node(id), 64)) }()
 	}
 	var first error
-	for range t.parts {
+	for range parts {
 		if err := <-errs; first == nil {
 			first = err
 		}

@@ -420,13 +420,8 @@ func (m *Migration) Run() (*Report, error) {
 	if r := m.opts.Recorder; r != nil {
 		r.Add(obs.CtrUnsyncTxns, uint64(len(unsync)))
 	}
-	// Hurry parked group commits: TS_unsync members already sitting in an
-	// open epoch would otherwise only publish when the epoch timer fires.
-	// Members still executing toward commit are covered by their own epoch's
-	// count/timer seal; waitTxns returns only after each member's seal
-	// appended its WAL commit record, so the FlushLSN capture below still
-	// bounds every TS_unsync change.
-	m.src.Manager().FlushEpochs()
+	// waitTxns returns only after each TS_unsync member appended its
+	// outcome record, so the FlushLSN capture below bounds every change.
 	if err := waitTxns(unsync, m.opts.PhaseTimeout); err != nil {
 		m.setPhase(PhaseFailed)
 		return &m.report, fmt.Errorf("core: TS_unsync drain: %w", err)

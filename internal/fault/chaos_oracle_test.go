@@ -13,14 +13,13 @@ import (
 	"remus/internal/core"
 	"remus/internal/fault"
 	"remus/internal/mvcc"
-	"remus/internal/txn"
 )
 
 // newOracleChaosCluster is the bank fixture on a cluster that actually
 // exercises the oracle fault sites: a replicated primary/standby GTS with
-// leased timestamp allocation and epoch-based group commit on every node.
-// The registry is threaded into the leased oracles (SiteLeaseRefresh), the
-// epoch managers (SiteEpochSeal) and the oracle group itself (SiteHWMPersist
+// leased timestamp allocation on every node. The registry is threaded into
+// the leased oracles (SiteLeaseRefresh), the transaction managers
+// (SiteCommitPublish) and the oracle group itself (SiteHWMPersist
 // on every durable mark write, SiteFailover inside takeovers,
 // SiteStaleLeaseReject at the fencing check). Batch is kept small so the
 // hwm-persist site fires every refresh or two instead of once per 1024
@@ -35,7 +34,6 @@ func newOracleChaosCluster(t *testing.T, reg *fault.Registry) *chaosCluster {
 		Scheme:    cluster.GTS,
 		Store:     store,
 		LeaseSize: 64,
-		Epoch:     txn.EpochConfig{Txns: 8, Delay: 200 * time.Microsecond, Faults: reg},
 		Faults:    reg,
 		OracleHA: &clock.HAConfig{
 			Replicas:  2,
@@ -124,14 +122,14 @@ func oracleStandby(g *clock.ReplicatedGTS) *clock.Replica {
 }
 
 // TestChaosCrashAtOracleSites sweeps every oracle failpoint — lease-refresh,
-// epoch-seal, and the three failover sites (hwm-persist, failover,
+// commit-publish, and the three failover sites (hwm-persist, failover,
 // stale-lease-reject) — during a live migration over bank transfers, on a
 // cluster where those sites actually fire. Victims per site: crash the
 // migration source, crash the destination, and crash the oracle itself (the
 // primary mid-persist, the standby mid-takeover, the new primary at the
-// fencing check). The epoch-seal/crash-src run is the pinned regression for
-// crash-at-epoch-seal recovery: the sealer's epoch members have final commit
-// decisions, so recovery must neither lose nor duplicate their money. The
+// fencing check). The commit-publish/crash-src run is the pinned regression
+// for a crash between a commit's durable record and its publication: the
+// decision is final, so recovery must neither lose nor duplicate its money. The
 // failover and stale-lease-reject sites only fire once a takeover is in
 // flight, so those runs kill the oracle primary shortly after the migration
 // starts; the supervisor revives stacked oracle crashes so progress resumes.
@@ -179,10 +177,10 @@ func TestChaosCrashAtOracleSites(t *testing.T) {
 					// Every oracle site can fire inside Manager.Begin, which
 					// holds the active-set mutex that Crash's ActiveTxns scan
 					// needs — crash from the side, as a real node failure
-					// would happen, instead of self-deadlocking. (Epoch-seal
+					// would happen, instead of self-deadlocking. (Commit-publish
 					// fires outside that lock and keeps the synchronous crash
 					// of the pinned regression.)
-					if site == fault.SiteEpochSeal {
+					if site == fault.SiteCommitPublish {
 						action.Do = crash
 					} else {
 						action.Do = func() { go crash() }
@@ -261,6 +259,11 @@ func TestChaosCrashAtOracleSites(t *testing.T) {
 						t.Fatalf("site %s, %s: shard %v owner = %v, want destination", site, victim, id, owner)
 					}
 				}
+				if site == fault.SiteCommitPublish && reg.Fired(site) == 0 {
+					// Every commit evaluates this site; not firing means the
+					// sweep tested nothing.
+					t.Fatalf("site %s, %s: never fired", site, victim)
+				}
 				cc.verify(t, fmt.Sprintf("site %s, %s", site, victim))
 
 				// Eventual progress through the surviving oracle: fresh
@@ -274,8 +277,8 @@ func TestChaosCrashAtOracleSites(t *testing.T) {
 }
 
 // TestChaosOracleClusterCleanMigration is the no-fault control for the same
-// replicated/leased/epoch cluster: a live migration under transfer load with
-// nothing armed must preserve every invariant (separates "epochs or the HA
+// replicated/leased cluster: a live migration under transfer load with
+// nothing armed must preserve every invariant (separates "leases or the HA
 // oracle broke migration" from "crash recovery broke migration" when the
 // sweep above fails).
 func TestChaosOracleClusterCleanMigration(t *testing.T) {

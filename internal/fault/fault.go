@@ -58,13 +58,13 @@ const (
 	// sequencer (clock.LeasedOracle). An Err models a failed lease RPC (the
 	// oracle retries); a Do typically crashes the leasing node mid-refresh.
 	SiteLeaseRefresh Site = "clock/lease-refresh"
-	// SiteEpochSeal fires at the epoch-seal boundary of group commit
-	// (txn.EpochConfig), after the epoch stopped admitting transactions and
-	// before any member's commit is published. An Err models a failed
-	// publication attempt (the sealer retries: the commit decisions are
-	// already final); a Do typically crashes the node, tearing the epoch
-	// between its members' committed-but-unpublished decisions.
-	SiteEpochSeal Site = "txn/epoch-seal"
+	// SiteCommitPublish fires in every commit after its commit record is
+	// durable and before the commit is published in the CLOG (txn.CommitAt,
+	// on a manager given the registry by Manager.SetFaults). An Err models a
+	// failed publication attempt (the committer retries: the decision is
+	// already durable and final); a Do typically crashes the node between
+	// the durable decision and its publication.
+	SiteCommitPublish Site = "txn/commit-publish"
 	// SiteHWMPersist fires before the replicated oracle persists its
 	// timestamp high-water mark (the persist-before-grant fsync of
 	// clock.ReplicatedGTS). An Err fails the persist — the dependent lease
@@ -106,13 +106,12 @@ var allSites = []Site{
 }
 
 // oracleSites are the failpoints inside the timestamp/commit machinery.
-// They only evaluate on clusters running a leased oracle or epoch-based
-// group commit, so they are enumerated separately from the migration-phase
-// sweep (arming them on a per-request-GTS, per-commit cluster would never
-// fire).
+// Most only evaluate on clusters running a leased or replicated oracle, so
+// they are enumerated separately from the migration-phase sweep (arming
+// them on a per-request-GTS cluster would never fire).
 var oracleSites = []Site{
 	SiteLeaseRefresh,
-	SiteEpochSeal,
+	SiteCommitPublish,
 	SiteHWMPersist,
 	SiteFailover,
 	SiteStaleLeaseReject,
@@ -124,8 +123,8 @@ func Sites() []Site {
 	return append([]Site(nil), allSites...)
 }
 
-// OracleSites returns the lease-refresh/epoch-seal failpoint sites, hot only
-// under leased timestamp allocation and epoch-based group commit.
+// OracleSites returns the timestamp-oracle and commit-publication failpoint
+// sites.
 func OracleSites() []Site {
 	return append([]Site(nil), oracleSites...)
 }

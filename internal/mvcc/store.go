@@ -202,11 +202,13 @@ func (s *Store) waitDone(v *Version) (clog.Entry, error) {
 // entry alongside:
 //
 //	visible  — the version is committed with commitTS <= snap
-//	skip     — aborted, in-progress, or committed after snap
+//	skip     — aborted, in-progress, or committed (or decided) after snap
 //	err      — prepare-wait timed out
 func (s *Store) resolve(v *Version, snap base.Timestamp) (e clog.Entry, visible bool, err error) {
 	e = s.entryOf(v)
-	if e.Status == base.StatusPrepared {
+	// A decided creator will commit at its CommitTS whatever happens, so
+	// above the snapshot it is invisible without waiting for publication.
+	if e.Status == base.StatusPrepared && !(e.Decided() && e.CommitTS > snap) {
 		e, err = s.waitDone(v)
 		if err != nil {
 			return e, false, err

@@ -264,6 +264,48 @@ func TestPrepareWaitOnRead(t *testing.T) {
 	}
 }
 
+// TestDecidedAboveSnapshotSkipsWait: a decided writer commits at its
+// decided timestamp whatever happens, so a reader whose snapshot is below
+// it reads the older version at once, while a reader above it still
+// prepare-waits for the publication.
+func TestDecidedAboveSnapshotSkipsWait(t *testing.T) {
+	h := newHarness(t)
+	h.commitWrite(t, 2, WriteInsert, "k", "old", h.tick())
+	below := h.tick()
+	ref := h.cl.Begin(3)
+	if err := h.st.Write(WriteReq{Kind: WriteUpdate, Key: "k", Value: base.Value("new"), XID: 3, StartTS: below, Ref: ref}); err != nil {
+		t.Fatal(err)
+	}
+	cts := h.tick()
+	if err := ref.SetPrepared(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetDecided(cts); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := h.st.Read("k", below, 0); err != nil || string(v) != "old" {
+		t.Fatalf("read below the decided timestamp = %q, %v; want old without waiting", v, err)
+	}
+	above := h.tick()
+	got := make(chan string, 1)
+	go func() {
+		v, _ := h.st.Read("k", above, 0)
+		got <- string(v)
+	}()
+	select {
+	case v := <-got:
+		t.Fatalf("read above the decided timestamp returned %q before the publication", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := ref.SetCommitted(cts); err != nil {
+		t.Fatal(err)
+	}
+	h.st.ReleaseLocks(3)
+	if v := <-got; v != "new" {
+		t.Fatalf("read above the decided timestamp after publication = %q, want new", v)
+	}
+}
+
 func TestPrepareWaitAbortedWriterInvisible(t *testing.T) {
 	h := newHarness(t)
 	h.cl.Begin(2)

@@ -78,3 +78,30 @@ func TestCommitShadowWaitsForValidation(t *testing.T) {
 		t.Fatalf("committed shadow's insert reads %q, %v at its commit timestamp", v, err)
 	}
 }
+
+// TestCloseRunsQueuedAbortShadow: Close must not drop a shadow's abort that
+// is queued behind its validation. The validation is parked when Close
+// starts and prepares its shadow once released; the abort behind it must
+// still roll that shadow back, or the destination keeps a prepared
+// transaction that no migration will ever resolve.
+func TestCloseRunsQueuedAbortShadow(t *testing.T) {
+	p := newPair(t)
+	const xid base.XID = 9
+	insert := []wal.Record{{Type: wal.RecInsert, XID: xid, Shard: testShard, Key: base.Key("k"), Value: base.Value("v")}}
+	rep, release := parkedValidation(t, p, xid, insert)
+	rep.SubmitAbortShadow(xid)
+	closed := make(chan struct{})
+	go func() {
+		rep.Close()
+		close(closed)
+	}()
+	<-rep.closing
+	release()
+	<-closed
+	if n := rep.PreparedShadows(); n != 0 {
+		t.Fatalf("%d prepared shadows after Close, want 0 (residual %v)", n, rep.ResidualShadows())
+	}
+	if n := p.dst.Manager().ActiveCount(); n != 0 {
+		t.Fatalf("destination keeps %d active transactions after Close", n)
+	}
+}

@@ -190,11 +190,12 @@ func NewReplayer(dst *node.Node, workers int, sink func(base.XID, error), faults
 	return r
 }
 
-// Close drains and stops the workers. An enqueuer blocked on a full task
-// queue is released with a "replayer closed" outcome instead of being
-// drained — Close must terminate even when the queue jammed (e.g. a crashed
-// migration's validation convoy, where prepared shadows hold row locks whose
-// releases sit behind thousands of queued tasks).
+// Close drains and stops the workers. Queued commits and aborts of
+// prepared shadows still run; queued applies and validations fail with a
+// "replayer closed" outcome, and so does an enqueuer blocked on a full task
+// queue — Close must terminate even when the queue jammed (e.g. a crashed
+// migration's validation convoy, where prepared shadows hold row locks
+// whose releases sit behind thousands of queued tasks).
 func (r *Replayer) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -360,17 +361,17 @@ func (r *Replayer) worker() {
 		for _, dep := range t.deps {
 			<-dep.done
 		}
-		select {
-		case <-r.closing:
-			// Close is draining the queue: fail the task without touching
-			// the store. A jammed validation convoy would otherwise cost a
-			// full lock-timeout per queued task, stalling Close for minutes;
-			// whoever closed the replayer resolves leftover shadows itself.
+		if r.draining(t) {
+			// Close is draining the queue: fail an apply or validation
+			// without touching the store. A jammed validation convoy would
+			// otherwise cost a full lock-timeout per queued task, stalling
+			// Close for minutes; whoever closed the replayer resolves
+			// leftover shadows itself.
 			t.err = errReplayerClosed
 			if t.kind == taskValidate && r.sink != nil {
 				r.sink(t.xid, t.err)
 			}
-		default:
+		} else {
 			t.err = r.run(t)
 		}
 		// Apply-task record slices recycle once the task is done: the
@@ -391,6 +392,25 @@ func (r *Replayer) worker() {
 			putRecs(recycle)
 		}
 	}
+}
+
+// draining reports whether Close is draining the queue and t is work Close
+// fails rather than runs. The commit or abort of a prepared shadow still
+// runs: it waits for no row lock, and dropping it would leave the shadow
+// prepared after the migration is gone.
+func (r *Replayer) draining(t *task) bool {
+	select {
+	case <-r.closing:
+	default:
+		return false
+	}
+	if t.kind == taskCommitShadow || t.kind == taskAbortShadow {
+		r.mu.Lock()
+		_, prepared := r.shadows[t.xid]
+		r.mu.Unlock()
+		return !prepared
+	}
+	return true
 }
 
 func (r *Replayer) run(t *task) error {

@@ -52,7 +52,8 @@ type SegmentWAL struct {
 	next    wal.LSN // next append position (last seen LSN + 1)
 	covered wal.LSN // highest LSN covered by a durable checkpoint
 	syncs   uint64
-	newSeg  bool // a segment was created since the directory was last synced
+	newSeg  bool   // a segment was created since the directory was last synced
+	frame   []byte // Append's encode buffer, reused across records
 }
 
 // OpenSegmentWAL opens (creating if needed) the segment directory, scans
@@ -194,11 +195,13 @@ func (s *SegmentWAL) Append(rec wal.Record) error {
 			return err
 		}
 	}
-	payload := wal.Encode(make([]byte, 0, wal.EncodedSize(&rec)), &rec)
-	frame := make([]byte, frameHdrBytes, frameHdrBytes+len(payload))
+	// Encode the payload straight after room for the header, in one buffer
+	// that lives as long as the backend.
+	frame := wal.Encode(append(s.frame[:0], make([]byte, frameHdrBytes)...), &rec)
+	s.frame = frame
+	payload := frame[frameHdrBytes:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
 	if _, err := s.f.Write(frame); err != nil {
 		return err
 	}

@@ -288,3 +288,35 @@ func TestRotateReportsSyncError(t *testing.T) {
 		t.Fatal("Append that rotated past a segment whose fsync failed returned nil")
 	}
 }
+
+// TestSegmentAppendAllocatesNothing: once the active segment is open, an
+// append encodes into the backend's reused frame buffer, so a 1 KB record
+// costs no allocation, and the frames still read back intact.
+func TestSegmentAppendAllocatesNothing(t *testing.T) {
+	s, err := OpenSegmentWAL(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := rec(1, "k")
+	r.Value = make(base.Value, 1024)
+	if err := s.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.LSN++
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Append allocates %.1f times per record, want 0", allocs)
+	}
+	got, err := s.ReadFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != int(r.LSN) || got[len(got)-1].LSN != r.LSN || len(got[len(got)-1].Value) != 1024 {
+		t.Fatalf("read back %d records, want %d ending at LSN %v with a 1 KB value", len(got), r.LSN, r.LSN)
+	}
+}

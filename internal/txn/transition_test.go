@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"remus/internal/base"
 	"remus/internal/mvcc"
@@ -26,7 +25,8 @@ func raceRuns() int {
 const raceBatch = 1000
 
 // view names a transaction's position in the per-txn state machine; unlike
-// State it tells a decided (parked) transaction from a published commit.
+// State it tells a decided transaction, whose commit record is being
+// synced, from a published commit.
 func view(tx *Txn) string {
 	if tx.ref.Entry().Decided() {
 		return "decided"
@@ -74,6 +74,9 @@ func TestTransitionTable(t *testing.T) {
 		"commit": func(tx *Txn, f *fixture) error {
 			return tx.CommitAt(f.mgr.Oracle().CommitTS(0))
 		},
+		"commitReadOnly": func(tx *Txn, f *fixture) error {
+			return tx.CommitReadOnly(tx.StartTS)
+		},
 		"abort":           func(tx *Txn, f *fixture) error { return tx.Abort() },
 		"abortWith":       func(tx *Txn, f *fixture) error { return tx.AbortWith(errCause) },
 		"abortUnprepared": func(tx *Txn, f *fixture) error { return tx.AbortUnprepared(errCause) },
@@ -83,6 +86,7 @@ func TestTransitionTable(t *testing.T) {
 		{"active", "write", ok, "active"},
 		{"active", "prepare", ok, "prepared"},
 		{"active", "commit", finished, "active"},
+		{"active", "commitReadOnly", refused, "active"},
 		{"active", "abort", ok, "aborted"},
 		{"active", "abortWith", ok, "aborted"},
 		{"active", "abortUnprepared", ok, "aborted"},
@@ -91,6 +95,7 @@ func TestTransitionTable(t *testing.T) {
 		{"committing", "write", finished, "committing"},
 		{"committing", "prepare", finished, "committing"},
 		{"committing", "commit", finished, "committing"},
+		{"committing", "commitReadOnly", finished, "committing"},
 		{"committing", "abort", ok, "aborted"},
 		{"committing", "abortWith", ok, "aborted"},
 		{"committing", "abortUnprepared", ok, "aborted"},
@@ -99,6 +104,7 @@ func TestTransitionTable(t *testing.T) {
 		{"prepared", "write", finished, "prepared"},
 		{"prepared", "prepare", finished, "prepared"},
 		{"prepared", "commit", ok, "committed"},
+		{"prepared", "commitReadOnly", finished, "prepared"},
 		{"prepared", "abort", ok, "aborted"},
 		{"prepared", "abortWith", ok, "aborted"},
 		{"prepared", "abortUnprepared", refused, "prepared"},
@@ -107,6 +113,7 @@ func TestTransitionTable(t *testing.T) {
 		{"decided", "write", finished, "decided"},
 		{"decided", "prepare", finished, "decided"},
 		{"decided", "commit", finished, "decided"},
+		{"decided", "commitReadOnly", finished, "decided"},
 		{"decided", "abort", finished, "decided"},
 		{"decided", "abortWith", finished, "decided"},
 		{"decided", "abortUnprepared", finished, "decided"},
@@ -115,6 +122,7 @@ func TestTransitionTable(t *testing.T) {
 		{"committed", "write", finished, "committed"},
 		{"committed", "prepare", finished, "committed"},
 		{"committed", "commit", finished, "committed"},
+		{"committed", "commitReadOnly", finished, "committed"},
 		{"committed", "abort", finished, "committed"},
 		{"committed", "abortWith", finished, "committed"},
 		{"committed", "abortUnprepared", finished, "committed"},
@@ -123,6 +131,7 @@ func TestTransitionTable(t *testing.T) {
 		{"aborted", "write", finished, "aborted"},
 		{"aborted", "prepare", finished, "aborted"},
 		{"aborted", "commit", finished, "aborted"},
+		{"aborted", "commitReadOnly", finished, "aborted"},
 		{"aborted", "abort", ok, "aborted"},
 		{"aborted", "abortWith", ok, "aborted"},
 		{"aborted", "abortUnprepared", ok, "aborted"},
@@ -150,15 +159,12 @@ func TestTransitionTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "decided":
-				f.mgr.SetEpoch(EpochConfig{Txns: 100, Delay: time.Minute})
+				be := newBlockingBackend()
+				f.wal.AttachBackend(be)
 				committed := make(chan error, 1)
 				go func() { _, err := tx.Commit(); committed <- err }()
-				for deadline := time.Now().Add(5 * time.Second); view(tx) != "decided"; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("commit never parked in the epoch")
-					}
-				}
-				settle = func() error { f.mgr.FlushEpochs(); return <-committed }
+				<-be.entered
+				settle = func() error { close(be.release); return <-committed }
 			case "committed":
 				if _, err := tx.Commit(); err != nil {
 					t.Fatal(err)
@@ -202,7 +208,7 @@ func TestTransitionTable(t *testing.T) {
 			serr := settle()
 			switch {
 			case c.from == "decided" && serr != nil:
-				t.Errorf("parked commit failed after %s: %v", c.op, serr)
+				t.Errorf("syncing commit failed after %s: %v", c.op, serr)
 			case c.from == "committing" && (serr == nil) != (c.to == "committing"):
 				t.Errorf("parked prepare after %s = %v", c.op, serr)
 			}
@@ -269,7 +275,6 @@ func TestTransitionRaces(t *testing.T) {
 	abort := func(f *fixture, tx *Txn) error { return tx.Abort() }
 	races := []struct {
 		name     string
-		epoch    bool
 		gate     CommitGate
 		prepared bool // the race starts from a prepared transaction
 		a, b     func(f *fixture, tx *Txn) error
@@ -282,7 +287,6 @@ func TestTransitionRaces(t *testing.T) {
 			b: func(f *fixture, tx *Txn) error { return tx.AbortUnprepared(nil) }},
 		{name: "prepare/abort", a: prepare, b: abort, bothNil: true},
 		{name: "commit/abort", prepared: true, a: commit, b: abort},
-		{name: "epochCommit/abort", epoch: true, prepared: true, a: commit, b: abort},
 		{name: "rejectedPrepare/abort", gate: reject, a: prepare, b: abort},
 		{name: "write/abort", b: abort, bothNil: true,
 			a: func(f *fixture, tx *Txn) error {
@@ -294,9 +298,6 @@ func TestTransitionRaces(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			for batch := 0; batch < runs; batch += raceBatch {
 				f := newFixture(t)
-				if r.epoch {
-					f.mgr.SetEpoch(EpochConfig{Txns: 1})
-				}
 				f.mgr.InstallGate(r.gate)
 				for i := batch; i < batch+raceBatch && i < runs; i++ {
 					tx := f.mgr.Begin(0, 0)

@@ -14,6 +14,7 @@ import (
 	"remus/internal/base"
 	"remus/internal/clock"
 	"remus/internal/clog"
+	"remus/internal/fault"
 	"remus/internal/mvcc"
 	"remus/internal/obs"
 	"remus/internal/wal"
@@ -30,7 +31,8 @@ const (
 	// StatePrepared means the 2PC prepare phase completed.
 	StatePrepared
 	// StateCommitted is terminal. It also covers a decided transaction
-	// parked in an epoch: its outcome is final, only its publication waits.
+	// whose commit record is being synced: its outcome is final, only its
+	// publication waits.
 	StateCommitted
 	// StateAborted is terminal.
 	StateAborted
@@ -108,8 +110,8 @@ type Txn struct {
 // it has not logged anything. Migration uses the minimum FirstLSN over
 // active transactions to pick a propagation start position that covers every
 // change that may commit after the migration snapshot (§3.3). A cluster
-// coordinator commits a transaction whose participants all report zero in
-// one round at its snapshot: it wrote nothing, so no vote can change that.
+// coordinator commits a participant that reports zero with CommitReadOnly:
+// it wrote nothing, so no vote or timestamp of its own can change anything.
 func (t *Txn) FirstLSN() wal.LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,9 +160,8 @@ type Manager struct {
 	// vacuum-horizon guarantee intact.
 	active [activeStripes]activeStripe
 
-	// epochs, when non-nil, routes commit publication through epoch-based
-	// group commit (see epoch.go / SetEpoch).
-	epochs atomic.Pointer[epochManager]
+	// faults evaluates fault.SiteCommitPublish on every commit (nil: none).
+	faults *fault.Registry
 }
 
 // activeStripes shards the active set. Power of two; xids are sequential, so
@@ -206,6 +207,10 @@ func (m *Manager) Node() base.NodeID { return m.node }
 // Safe to call on a live manager; in-flight transactions pick it up on their
 // next instrumented step.
 func (m *Manager) SetRecorder(r obs.Recorder) { m.rec.Store(r) }
+
+// SetFaults installs the registry whose fault.SiteCommitPublish every
+// commit evaluates. Call it before the manager runs transactions.
+func (m *Manager) SetFaults(r *fault.Registry) { m.faults = r }
 
 // Recorder returns the installed recorder, or nil when disabled.
 func (m *Manager) Recorder() obs.Recorder { return m.rec.Load() }
@@ -384,15 +389,19 @@ func (m *Manager) exitCommit(t *Txn) {
 }
 
 func (m *Manager) finish(t *Txn) {
-	m.exitCommit(t)
+	t.mu.Lock()
+	cleanups, entered := t.cleanups, t.committing
+	t.cleanups = nil
+	t.mu.Unlock()
+	// Only a transaction that entered its commit path is registered there;
+	// read-only commits and early aborts skip the node-wide commitMu.
+	if entered {
+		m.exitCommit(t)
+	}
 	s := m.activeStripe(t.XID)
 	s.mu.Lock()
 	delete(s.txns, t.XID)
 	s.mu.Unlock()
-	t.mu.Lock()
-	cleanups := t.cleanups
-	t.cleanups = nil
-	t.mu.Unlock()
 	for i := len(cleanups) - 1; i >= 0; i-- {
 		cleanups[i]()
 	}
@@ -615,49 +624,77 @@ func (t *Txn) Prepare() (base.Timestamp, error) {
 
 // CommitAt completes the transaction with the given commit timestamp
 // (assigned by the coordinator after all participants prepared). The commit
-// record lands in the WAL so the propagation process can ship it. With
-// epoch group commit the word moves to decided instead — final, so no abort
-// can revoke it — and the epoch seal commits it at the same timestamp.
+// is durable before it is visible, as in PostgreSQL: the word moves to
+// decided — final, so no abort can revoke it, and readers still
+// prepare-wait on it — and the commit record is appended, both under mu;
+// then the record is synced and only then is the word published as
+// committed. A sync that already covers the record costs nothing.
 func (t *Txn) CommitAt(ts base.Timestamp) error {
 	t.m.oracle.Observe(ts)
-	em := t.m.epochs.Load()
 	t.mu.Lock()
 	if t.stateLocked() != StatePrepared {
 		err := t.stateErrLocked("commit")
 		t.mu.Unlock()
 		return err
 	}
-	if em != nil {
-		err := t.ref.SetDecided(ts)
+	if err := t.ref.SetDecided(ts); err != nil {
 		t.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		em.commit(t)
-	} else {
-		if err := t.ref.SetCommitted(ts); err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		t.m.wal.Append(wal.Record{
-			Type: wal.RecCommit, XID: t.XID, Txn: t.GlobalID,
-			StartTS: t.StartTS, CommitTS: ts,
-		})
-		t.mu.Unlock()
-		t.m.wal.Sync()
+		return err
+	}
+	lsn := t.m.wal.Append(wal.Record{
+		Type: wal.RecCommit, XID: t.XID, Txn: t.GlobalID,
+		StartTS: t.StartTS, CommitTS: ts,
+	})
+	t.mu.Unlock()
+	t.m.wal.SyncTo(lsn)
+	// An injected error models a failed publication attempt and is retried:
+	// the decision is durable and final, and the coordinator may already
+	// have committed the other participants.
+	for t.m.faults.Eval(fault.SiteCommitPublish) != nil {
+	}
+	// Only this call moves a decided word, so this cannot fail.
+	if err := t.ref.SetCommitted(ts); err != nil {
+		panic(err)
 	}
 	t.releaseLocks()
+	t.finishCommit()
+	return nil
+}
+
+// CommitReadOnly commits, at ts, a transaction that logged nothing: it wrote
+// nothing, so there is no record to make durable, no vote to take and no
+// timestamp to draw. The word moves straight to committed. It fails on a
+// transaction that logged a record or left the active state; an abort
+// cause, if one was recorded, is reported.
+func (t *Txn) CommitReadOnly(ts base.Timestamp) error {
+	t.mu.Lock()
+	var err error
+	switch {
+	case t.stateLocked() != StateActive:
+		err = t.stateErrLocked("commit")
+	case t.firstLSN != 0:
+		err = fmt.Errorf("read-only commit of %v, which logged from %v", t.XID, t.firstLSN)
+	default:
+		// Aborts CAS under mu as well, so the active word cannot move here.
+		err = t.ref.SetCommitted(ts)
+	}
+	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	t.finishCommit()
+	return nil
+}
+
+// finishCommit unregisters a committed transaction and records it.
+func (t *Txn) finishCommit() {
 	t.m.finish(t)
 	if r := t.m.rec.Load(); r != nil {
 		r.Add(obs.CtrCommits, 1)
-		if em != nil {
-			r.Add(obs.CtrEpochTxns, 1)
-		}
 		if !t.wallStart.IsZero() {
 			r.Observe(obs.HistCommitLatency, uint64(time.Since(t.wallStart)))
 		}
 	}
-	return nil
 }
 
 // Commit runs the full single-participant commit: prepare (marking the CLOG

@@ -108,8 +108,9 @@ func (r *Record) Size() int {
 }
 
 // Backend is a durable sink attached behind the in-memory log. When present,
-// every Append is written through before it is acknowledged, Sync points turn
-// into real fsyncs, and Truncate offers the covered prefix for retirement.
+// every Append is written through before it is acknowledged, a SyncTo that
+// is not already covered fsyncs it, and Truncate offers the covered prefix
+// for retirement.
 // The backend sees records in LSN order (calls are made under the log mutex)
 // but must not assume LSNs are dense: restart-from-disk recovery re-logs the
 // replayed tail in memory only, leaving gaps in the on-disk sequence.
@@ -136,8 +137,8 @@ type Log struct {
 	first   LSN      // LSN of records[0]
 	next    LSN      // next LSN to assign
 	bytes   uint64   // total bytes ever appended
-	syncs   uint64   // fsync points recorded (see Sync)
-	synced  LSN      // highest LSN covered by a sync point
+	syncs   uint64   // fsyncs issued (see SyncTo)
+	synced  LSN      // highest LSN covered by a sync
 	closed  bool
 	backend Backend // nil: purely in-memory
 }
@@ -150,7 +151,7 @@ func New() *Log {
 }
 
 // AttachBackend installs a durable backend. From this point every Append is
-// written through to it and Sync points fsync. Attach before the first append
+// written through to it and SyncTo fsyncs it. Attach before the first append
 // that must be durable; attaching replaces any previous backend.
 func (l *Log) AttachBackend(b Backend) {
 	l.mu.Lock()
@@ -223,37 +224,39 @@ func (l *Log) Bytes() uint64 {
 	return l.bytes
 }
 
-// Sync records an fsync point covering every record appended so far and
-// returns the covered LSN. The log is in-memory, so Sync moves no data; it
-// models the per-commit durability barrier a disk-backed WAL pays, which is
-// exactly what epoch-based group commit amortizes: the legacy commit path
-// syncs once per transaction, an epoch seal syncs once per epoch. Syncs()
-// divided by committed transactions is the bench's fsyncs-per-txn metric.
-// Syncing an already-covered position still counts (a real fsync of a clean
-// file still pays the barrier).
-func (l *Log) Sync() LSN {
+// SyncTo makes every record up to lsn durable and returns the highest LSN
+// a sync covers. A commit calls it with its commit record's LSN before it
+// publishes the commit. When an earlier sync already covers lsn it returns
+// at once: the record rode along in another committer's fsync. Otherwise it
+// syncs the whole tail. The fsync runs under the log mutex, so appends wait
+// for it; a leader/follower sync outside the mutex measured a worse
+// median commit latency. Without a backend the sync moves no data but
+// is still counted, so Syncs() is the same figure on a memory-only log.
+func (l *Log) SyncTo(lsn LSN) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.syncs++
-	if l.next-1 > l.synced {
-		l.synced = l.next - 1
+	if lsn <= l.synced {
+		return l.synced
 	}
 	if l.backend != nil {
 		if err := l.backend.Sync(); err != nil {
 			panic(fmt.Sprintf("wal: durable sync failed: %v", err))
 		}
 	}
+	l.syncs++
+	l.synced = l.next - 1
 	return l.synced
 }
 
-// Syncs reports the number of fsync points recorded.
+// Syncs reports the number of fsyncs issued; a SyncTo that an earlier sync
+// covered is not one.
 func (l *Log) Syncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncs
 }
 
-// SyncedLSN reports the highest LSN covered by a sync point.
+// SyncedLSN reports the highest LSN covered by a sync.
 func (l *Log) SyncedLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -348,51 +348,54 @@ func TestRecordTypeStrings(t *testing.T) {
 	}
 }
 
-// TestSyncAccounting pins the fsync-point model the epoch group-commit bench
-// depends on: Sync covers the current tail, Syncs counts every barrier
-// (including barriers over an already-covered tail), and SyncedLSN tracks the
-// highest covered position.
+// TestSyncAccounting pins the sync model the commit path depends on: SyncTo
+// covers the whole tail, returns at once when an earlier sync already
+// covers the position, Syncs counts only the fsyncs actually issued, and
+// SyncedLSN tracks the highest covered position.
 func TestSyncAccounting(t *testing.T) {
 	l := New()
-	if l.Syncs() != 0 || l.SyncedLSN() != 0 {
-		t.Fatalf("fresh log: syncs=%d synced=%v, want 0/0", l.Syncs(), l.SyncedLSN())
+	be := &countingBackend{}
+	l.AttachBackend(be)
+	check := func(what string, syncs uint64, synced LSN) {
+		t.Helper()
+		if l.Syncs() != syncs || be.syncs != syncs || l.SyncedLSN() != synced {
+			t.Fatalf("%s: Syncs()=%d backend fsyncs=%d SyncedLSN()=%v, want %d/%d/%v",
+				what, l.Syncs(), be.syncs, l.SyncedLSN(), syncs, syncs, synced)
+		}
 	}
+	check("fresh log", 0, 0)
 
-	// Sync on an empty log is still a barrier.
-	if got := l.Sync(); got != 0 {
-		t.Fatalf("Sync on empty log returned %v, want 0", got)
+	// An empty log is covered already: nothing to sync.
+	if got := l.SyncTo(0); got != 0 {
+		t.Fatalf("SyncTo(0) on empty log returned %v, want 0", got)
 	}
-	if l.Syncs() != 1 {
-		t.Fatalf("Syncs() = %d after empty-log sync, want 1", l.Syncs())
-	}
+	check("empty-log sync", 0, 0)
 
 	a := l.Append(rec(RecInsert, 1, "a"))
 	b := l.Append(rec(RecCommit, 1, "b"))
-	if got := l.Sync(); got != b {
-		t.Fatalf("Sync returned %v, want tail %v", got, b)
+	if got := l.SyncTo(a); got != b {
+		t.Fatalf("SyncTo(%v) returned %v, want the whole tail %v", a, got, b)
 	}
-	if l.SyncedLSN() != b {
-		t.Fatalf("SyncedLSN() = %v, want %v", l.SyncedLSN(), b)
-	}
-	_ = a
+	check("first sync", 1, b)
 
-	// A second sync with nothing new appended still counts (clean-file fsync
-	// pays the barrier) and does not move the covered LSN.
-	if got := l.Sync(); got != b {
-		t.Fatalf("repeat Sync returned %v, want %v", got, b)
+	// b rode along in a's sync: covering it again costs no fsync.
+	if got := l.SyncTo(b); got != b {
+		t.Fatalf("covered SyncTo returned %v, want %v", got, b)
 	}
-	if l.Syncs() != 3 {
-		t.Fatalf("Syncs() = %d, want 3", l.Syncs())
-	}
+	check("covered sync", 1, b)
 
 	c := l.Append(rec(RecUpdate, 2, "c"))
-	if l.SyncedLSN() != b {
-		t.Fatalf("Append must not advance SyncedLSN: got %v, want %v", l.SyncedLSN(), b)
+	check("append", 1, b)
+	if got := l.SyncTo(c); got != c {
+		t.Fatalf("SyncTo after append returned %v, want %v", got, c)
 	}
-	if got := l.Sync(); got != c {
-		t.Fatalf("Sync after append returned %v, want %v", got, c)
-	}
-	if l.Syncs() != 4 || l.SyncedLSN() != c {
-		t.Fatalf("final accounting: syncs=%d synced=%v, want 4/%v", l.Syncs(), l.SyncedLSN(), c)
-	}
+	check("final", 2, c)
 }
+
+// countingBackend is a Backend that only counts fsyncs.
+type countingBackend struct{ syncs uint64 }
+
+func (b *countingBackend) Append(Record) error { return nil }
+func (b *countingBackend) Sync() error         { b.syncs++; return nil }
+func (b *countingBackend) Retire(LSN)          {}
+func (b *countingBackend) Close() error        { return nil }
