@@ -126,15 +126,12 @@ func (t TableID) String() string { return fmt.Sprintf("table%d", int32(t)) }
 var (
 	// ErrWWConflict reports a write-write conflict under snapshot isolation
 	// (first-updater-wins): the tuple was modified by a transaction that is
-	// concurrent with or newer than the writer's snapshot.
+	// concurrent with or newer than the writer's snapshot. A row-lock
+	// request older than the lock's holder fails with it at once, because
+	// the holder's commit would conflict anyway.
 	ErrWWConflict = errors.New("serialization failure: concurrent update (ww-conflict)")
-	// ErrDeadlock reports that granting a lock would close a wait-for
-	// cycle; the requesting transaction is chosen as the victim. It wraps
-	// ErrWWConflict so clients' retry classification applies unchanged.
-	ErrDeadlock = fmt.Errorf("%w: deadlock detected", ErrWWConflict)
-	// ErrAborted reports that the transaction was aborted (by itself, by
-	// deadlock resolution, or by a migration approach that kills
-	// transactions, e.g. lock-and-abort).
+	// ErrAborted reports that the transaction was aborted (by itself or by
+	// a migration approach that kills transactions, e.g. lock-and-abort).
 	ErrAborted = errors.New("transaction aborted")
 	// ErrMigrationAbort reports a migration-induced abort: the transaction
 	// was killed or invalidated by an ongoing shard migration. Benchmarks

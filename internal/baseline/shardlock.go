@@ -19,7 +19,8 @@ import (
 // exclusive lock on its shard, held until the transaction finishes. This is
 // what makes a batch insert that touches every shard block all concurrent
 // OLTP traffic (Figure 6c) and an analytical scan freeze the cluster
-// (Figure 7).
+// (Figure 7). Shard locks carry no wait-die order (a zero mvcc.Order):
+// every request waits, first in, first out, bounded by the timeout.
 type ShardLockCC struct {
 	timeout time.Duration
 
@@ -86,7 +87,7 @@ func (cc *ShardLockCC) Uninstall(c *cluster.Cluster) {
 }
 
 func (cc *ShardLockCC) acquireForTxn(nl *nodeLocks, t *txn.Txn, shardID base.ShardID) error {
-	if err := nl.lt.Acquire(lockKey(shardID), t.XID, cc.timeout); err != nil {
+	if err := nl.lt.Acquire(lockKey(shardID), t.XID, mvcc.Order{}, cc.timeout); err != nil {
 		return fmt.Errorf("shard lock on %v: %w", shardID, base.ErrWWConflict)
 	}
 	if _, loaded := nl.registered.LoadOrStore(t.XID, struct{}{}); !loaded {
@@ -119,7 +120,7 @@ func (cc *ShardLockCC) lockShard(nodeID base.NodeID, shardID base.ShardID) (func
 		return func() {}, nil // CC not installed on this node: nothing to lock
 	}
 	xid := base.XID(cc.pseudoXID.Add(1))
-	if err := lt.Acquire(lockKey(shardID), xid, cc.timeout); err != nil {
+	if err := lt.Acquire(lockKey(shardID), xid, mvcc.Order{}, cc.timeout); err != nil {
 		return nil, fmt.Errorf("pull lock on %v@%v: %w", shardID, nodeID, err)
 	}
 	return func() { lt.ReleaseAll(xid) }, nil

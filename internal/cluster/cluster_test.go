@@ -581,6 +581,80 @@ func TestLockRowBlocksSecondWriterAcrossSessions(t *testing.T) {
 	t2.Abort()
 }
 
+// TestCrossNodeDeadlockResolvesAtOnce crosses two transactions over two
+// nodes: each updates its local row, then the other's. No node sees the
+// whole cycle, yet wait-die ordering breaks it at once: the older
+// transaction's request fails immediately, and the younger one's is granted
+// as soon as the older one rolls back.
+func TestCrossNodeDeadlockResolvesAtOnce(t *testing.T) {
+	c := newCluster(t, 2, DTS)
+	tbl := mustTable(t, c, "kv", 4)
+	var keys [2]base.Key
+	for i, found := uint64(0), 0; found < 2; i++ {
+		k := base.EncodeUint64Key(i)
+		owner, _ := c.OwnerOf(tbl.ShardOf(k))
+		if keys[owner-1] == "" {
+			keys[owner-1] = k
+			found++
+		}
+	}
+	setup, _ := mustSession(t, c, 1).Begin()
+	for _, k := range keys {
+		if err := setup.Insert(tbl, k, base.Value("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	var txs [2]*Txn
+	for i := range txs {
+		txs[i], _ = mustSession(t, c, base.NodeID(i+1)).Begin()
+		if err := txs[i].Update(tbl, keys[i], base.Value("local")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var errs [2]error
+	var took [2]time.Duration
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			t0 := time.Now()
+			errs[i] = txs[i].Update(tbl, keys[1-i], base.Value("remote"))
+			took[i] = time.Since(t0)
+			if errs[i] != nil {
+				txs[i].Abort()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	failed := 0
+	for i, err := range errs {
+		if took[i] > 100*time.Millisecond {
+			t.Errorf("txn %d's crossing update took %v", i, took[i])
+		}
+		switch {
+		case err == nil:
+			if _, err := txs[i].Commit(); err != nil {
+				t.Errorf("survivor %d commit: %v", i, err)
+			}
+		case errors.Is(err, base.ErrWWConflict):
+			failed++
+		default:
+			t.Errorf("txn %d: %v", i, err)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d of the two crossing updates failed (%v), want exactly one", failed, errs)
+	}
+}
+
 func TestValueIsolationFromMutation(t *testing.T) {
 	// Values returned by Get must not alias internal storage.
 	c := newCluster(t, 1, DTS)

@@ -180,9 +180,10 @@ func TestClusterVacuumAndHorizon(t *testing.T) {
 	if got := c.OldestActiveTS(); got != open.StartTS() {
 		t.Fatalf("horizon = %v, want %v", got, open.StartTS())
 	}
-	reclaimed := c.Vacuum(0)
-	if reclaimed == 0 {
-		t.Fatal("nothing reclaimed despite 5 dead versions")
+	// The newest version is visible at the horizon, so exactly the five it
+	// shadows go.
+	if reclaimed := c.Vacuum(0); reclaimed != 5 {
+		t.Fatalf("reclaimed %d versions, want the 5 dead ones", reclaimed)
 	}
 	v, err := open.Get(tbl, key)
 	if err != nil || string(v) != "vN" {

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,29 +20,26 @@ const lockStripes = 64
 // xid allocation spreads neighbors round-robin.
 const heldShards = 64
 
-// LockTable implements row-level exclusive locks with FIFO waiters,
-// reentrancy and wait-for-graph deadlock detection. Writers acquire the lock
-// for a key before creating a new tuple version and hold it until the
-// transaction finishes, mirroring PostgreSQL's row-level write locking under
-// snapshot isolation; like PostgreSQL, a lock request that would close a
-// wait-for cycle fails immediately with base.ErrDeadlock (the requester is
-// the victim) instead of hanging until the timeout.
+// LockTable implements row-level exclusive locks with reentrancy and
+// wait-die ordering by snapshot. Writers acquire the lock for a key before
+// creating a new tuple version and hold it until the transaction finishes,
+// mirroring PostgreSQL's row-level write locking under snapshot isolation.
 //
-// The table is split three ways (see DESIGN §10):
+// Waits are ordered by Order (DESIGN §10): a requester younger than the
+// owner waits; one older than the owner fails at once with
+// base.ErrWWConflict, because under first-updater-wins it is doomed as soon
+// as the younger owner commits. A released lock goes to its oldest waiter,
+// so every wait edge points from younger to older and no cycle can form —
+// on one node or across many, since every participant of a distributed
+// transaction carries the same StartTS. Deadlocks need no graph, and the
+// timeout only bounds a wait on a lost holder.
 //
-//   - key stripes carry the lock states — the fast path;
-//   - held shards carry each transaction's held-key set for ReleaseAll;
-//   - the wait graph is a single slow-path structure touched only when a
-//     request actually blocks, so deadlock checks never slow an uncontended
-//     acquire.
-//
-// Lock ordering: a key stripe may take a held shard (grant bookkeeping); the
-// wait graph may take key stripes (owner reads during a cycle walk); nothing
-// takes the wait graph while holding a key stripe or a held shard.
+// Key stripes carry the lock states; held shards carry each transaction's
+// held-key set for ReleaseAll. A key stripe may take a held shard, never the
+// reverse.
 type LockTable struct {
 	stripes [lockStripes]lockStripe
 	held    [heldShards]heldShard
-	wg      waitGraph
 
 	// collisions counts fast-path TryLock failures on key stripes — how
 	// often two transactions actually contended for a stripe mutex.
@@ -60,26 +58,45 @@ type heldShard struct {
 	_    [40]byte
 }
 
-// waitGraph is the deadlock-detection slow path: the wait-for edges of every
-// currently blocked transaction, plus a reusable epoch-stamped visited
-// scratch so a cycle walk allocates nothing.
-type waitGraph struct {
-	mu sync.Mutex
-	// waitingOn records, for every blocked transaction, the key it waits
-	// for — the edges of the wait-for graph.
-	waitingOn map[base.XID]base.Key
-	visited   map[base.XID]uint64
-	epoch     uint64
+// Order ranks a lock requester for wait-die: a smaller StartTS is older,
+// then a smaller global Txn id, then a smaller local XID. The zero Order
+// ranks nothing: a request with a zero Order on either side waits, and
+// zero-Order waiters are granted first in, first out (the baseline's shard
+// locks).
+type Order struct {
+	StartTS base.Timestamp
+	Txn     base.TxnID
+}
+
+// lockReq is one requester: its xid and its rank.
+type lockReq struct {
+	xid base.XID
+	ord Order
+}
+
+// olderThan reports whether r strictly precedes o in wait-die order. It is
+// false when either side is unordered.
+func (r lockReq) olderThan(o lockReq) bool {
+	switch {
+	case r.ord.StartTS == base.TsZero || o.ord.StartTS == base.TsZero:
+		return false
+	case r.ord.StartTS != o.ord.StartTS:
+		return r.ord.StartTS < o.ord.StartTS
+	case r.ord.Txn != o.ord.Txn:
+		return r.ord.Txn < o.ord.Txn
+	default:
+		return r.xid < o.xid
+	}
 }
 
 type lockWaiter struct {
-	xid     base.XID
+	lockReq
 	granted chan struct{}
 	done    bool // set under the stripe mutex when granted or abandoned
 }
 
 type lockState struct {
-	owner   base.XID
+	owner   lockReq
 	depth   int
 	waiters []*lockWaiter
 }
@@ -93,8 +110,6 @@ func NewLockTable() *LockTable {
 	for i := range lt.held {
 		lt.held[i].keys = make(map[base.XID]map[base.Key]struct{})
 	}
-	lt.wg.waitingOn = make(map[base.XID]base.Key)
-	lt.wg.visited = make(map[base.XID]uint64)
 	return lt
 }
 
@@ -113,7 +128,7 @@ func (lt *LockTable) heldShardOf(xid base.XID) *heldShard {
 	return &lt.held[uint64(xid)&(heldShards-1)]
 }
 
-// lockContended acquires the stripe mutex, counting the acquisition as a
+// lockStripe acquires the stripe mutex, counting the acquisition as a
 // collision when another transaction held it.
 func (lt *LockTable) lockStripe(s *lockStripe) {
 	if !s.mu.TryLock() {
@@ -153,8 +168,11 @@ func (lt *LockTable) dropHeld(xid base.XID, key base.Key) {
 }
 
 // Acquire blocks until xid owns the lock for key, or until timeout (zero
-// means wait forever). Reentrant acquisition succeeds immediately.
-func (lt *LockTable) Acquire(key base.Key, xid base.XID, timeout time.Duration) error {
+// means wait forever). Reentrant acquisition succeeds immediately. A
+// requester older than the owner by ord fails at once with
+// base.ErrWWConflict.
+func (lt *LockTable) Acquire(key base.Key, xid base.XID, ord Order, timeout time.Duration) error {
+	req := lockReq{xid: xid, ord: ord}
 	s := lt.stripeOf(key)
 	lt.lockStripe(s)
 	st := s.locks[key]
@@ -162,34 +180,21 @@ func (lt *LockTable) Acquire(key base.Key, xid base.XID, timeout time.Duration) 
 		st = &lockState{}
 		s.locks[key] = st
 	}
-	if st.owner == base.InvalidXID || st.owner == xid {
-		st.owner = xid
+	if st.owner.xid == base.InvalidXID || st.owner.xid == xid {
+		st.owner = req
 		st.depth++
 		lt.noteHeld(xid, key)
 		s.mu.Unlock()
 		return nil
 	}
-	w := &lockWaiter{xid: xid, granted: make(chan struct{})}
+	if req.olderThan(st.owner) {
+		owner := st.owner.xid
+		s.mu.Unlock()
+		return fmt.Errorf("lock on %q by %v: older than holder %v: %w", string(key), xid, owner, base.ErrWWConflict)
+	}
+	w := &lockWaiter{lockReq: req, granted: make(chan struct{})}
 	st.waiters = append(st.waiters, w)
 	s.mu.Unlock()
-
-	// Blocked: this is the slow path. Record the wait-for edge and walk the
-	// graph. Unlike the old single-lock table, the edge is published before
-	// the check runs, so a concurrent grant can race the verdict — the
-	// withdraw path below re-checks w.done and keeps a racing grant.
-	if lt.wg.addEdgeAndCheck(lt, xid, key) {
-		lt.wg.clearEdge(xid)
-		lt.lockStripe(s)
-		if w.done {
-			// Granted concurrently with the detection walk; keep the lock.
-			s.mu.Unlock()
-			return nil
-		}
-		w.done = true
-		removeWaiter(st, w)
-		s.mu.Unlock()
-		return fmt.Errorf("lock on %q by %v: %w", string(key), xid, base.ErrDeadlock)
-	}
 
 	var timer <-chan time.Time
 	if timeout > 0 {
@@ -199,91 +204,22 @@ func (lt *LockTable) Acquire(key base.Key, xid base.XID, timeout time.Duration) 
 	}
 	select {
 	case <-w.granted:
-		lt.wg.clearEdge(xid)
 		return nil
 	case <-timer:
 	}
 	// Timed out: withdraw, unless the grant raced the timer.
-	lt.wg.clearEdge(xid)
 	lt.lockStripe(s)
 	defer s.mu.Unlock()
 	if w.done {
-		// Granted concurrently with the timeout; keep the lock.
 		return nil
 	}
 	w.done = true
-	removeWaiter(st, w)
+	st.waiters = slices.DeleteFunc(st.waiters, func(c *lockWaiter) bool { return c == w })
 	return fmt.Errorf("lock wait on %q: %w", string(key), base.ErrTimeout)
 }
 
-func removeWaiter(st *lockState, w *lockWaiter) {
-	for i, cand := range st.waiters {
-		if cand == w {
-			st.waiters = append(st.waiters[:i], st.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// addEdgeAndCheck records xid → key in the wait graph and reports whether
-// the new edge closes a cycle: the chain of "owner waits for key whose owner
-// waits for ..." leading back to xid. Owner reads take the target key's
-// stripe briefly (wait graph → stripe is the sanctioned order). The visited
-// scratch is epoch-stamped and reused, so a walk allocates nothing.
-//
-// Edges cleared by their owners after a grant may lag the grant itself, so
-// the walk can traverse a stale edge; the result stays conservative — at
-// worst a request is declared a victim that would have been granted shortly,
-// which surfaces as an ordinary serialization failure.
-func (g *waitGraph) addEdgeAndCheck(lt *LockTable, xid base.XID, key base.Key) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.waitingOn[xid] = key
-	g.epoch++
-	if len(g.visited) > 1<<14 {
-		g.visited = make(map[base.XID]uint64)
-	}
-	cur := key
-	for {
-		owner := lt.ownerOf(cur)
-		if owner == base.InvalidXID {
-			return false
-		}
-		if owner == xid {
-			return true
-		}
-		if g.visited[owner] == g.epoch {
-			return false // cycle not involving xid
-		}
-		g.visited[owner] = g.epoch
-		next, waiting := g.waitingOn[owner]
-		if !waiting {
-			return false
-		}
-		cur = next
-	}
-}
-
-func (g *waitGraph) clearEdge(xid base.XID) {
-	g.mu.Lock()
-	delete(g.waitingOn, xid)
-	g.mu.Unlock()
-}
-
-// ownerOf reads a key's current lock owner under its stripe mutex.
-func (lt *LockTable) ownerOf(key base.Key) base.XID {
-	s := lt.stripeOf(key)
-	s.mu.Lock()
-	owner := base.InvalidXID
-	if st := s.locks[key]; st != nil {
-		owner = st.owner
-	}
-	s.mu.Unlock()
-	return owner
-}
-
 // Release drops one reentrancy level of xid's lock on key, handing the lock
-// to the next waiter when the depth reaches zero.
+// to the oldest waiter when the depth reaches zero.
 func (lt *LockTable) Release(key base.Key, xid base.XID) {
 	s := lt.stripeOf(key)
 	lt.lockStripe(s)
@@ -311,7 +247,7 @@ func (lt *LockTable) ReleaseAll(xid base.XID) {
 // the caller's (ReleaseAll already detached the set).
 func (lt *LockTable) releaseLocked(s *lockStripe, key base.Key, xid base.XID, all bool) {
 	st := s.locks[key]
-	if st == nil || st.owner != xid {
+	if st == nil || st.owner.xid != xid {
 		return
 	}
 	if all {
@@ -325,29 +261,36 @@ func (lt *LockTable) releaseLocked(s *lockStripe, key base.Key, xid base.XID, al
 	if !all {
 		lt.dropHeld(xid, key)
 	}
-	// Hand to the next live waiter. The granted transaction's wait-for edge
-	// is cleared by the waiter itself when it wakes (stripe mutexes never
-	// take the wait graph — see the lock ordering above).
-	for len(st.waiters) > 0 {
-		w := st.waiters[0]
-		st.waiters = st.waiters[1:]
-		if w.done {
-			continue
-		}
-		st.owner = w.xid
-		st.depth = 1
-		w.done = true
-		lt.noteHeld(w.xid, key)
-		close(w.granted)
+	if len(st.waiters) == 0 {
+		delete(s.locks, key)
 		return
 	}
-	st.owner = base.InvalidXID
-	delete(s.locks, key)
+	// Grant the oldest waiter, so the rest stay younger than the new owner.
+	// The first one wins ties, which keeps unordered waiters FIFO.
+	i := 0
+	for j, w := range st.waiters {
+		if w.olderThan(st.waiters[i].lockReq) {
+			i = j
+		}
+	}
+	w := st.waiters[i]
+	st.waiters = slices.Delete(st.waiters, i, i+1)
+	st.owner = w.lockReq
+	st.depth = 1
+	w.done = true
+	lt.noteHeld(w.xid, key)
+	close(w.granted)
 }
 
 // Owner reports the current lock owner for key (for tests and debugging).
 func (lt *LockTable) Owner(key base.Key) base.XID {
-	return lt.ownerOf(key)
+	s := lt.stripeOf(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.locks[key]; st != nil {
+		return st.owner.xid
+	}
+	return base.InvalidXID
 }
 
 // HeldBy reports how many keys xid currently has locked.

@@ -1,7 +1,6 @@
 package mvcc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -30,95 +29,68 @@ func keysOnDistinctStripes(t *testing.T, lt *LockTable, n int) []base.Key {
 	return keys
 }
 
-// TestDeadlockAcrossStripes pins the property the sharding must not lose: a
-// wait-for cycle whose keys live on different stripes is still detected, even
-// though no single stripe lock ever sees both edges.
+// TestDeadlockAcrossStripes pins the property the sharding must not lose on
+// keys whose locks live on different stripes: two transactions crossing over
+// cannot deadlock. The older one's request fails at once; the younger one
+// waits and is granted once the older one rolls back.
 func TestDeadlockAcrossStripes(t *testing.T) {
 	lt := NewLockTable()
 	keys := keysOnDistinctStripes(t, lt, 2)
 	kA, kB := keys[0], keys[1]
 
-	if err := lt.Acquire(kA, 1, 0); err != nil {
+	if err := lt.Acquire(kA, 1, at(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire(kB, 2, 0); err != nil {
+	if err := lt.Acquire(kB, 2, at(2), 0); err != nil {
 		t.Fatal(err)
 	}
-
-	type outcome struct {
-		xid base.XID
-		err error
-	}
-	errs := make(chan outcome, 2)
-	go func() { errs <- outcome{1, lt.Acquire(kB, 1, 2*time.Second)} }() // 1 waits for 2
-	time.Sleep(20 * time.Millisecond)                                    // let 1's edge publish
-	go func() { errs <- outcome{2, lt.Acquire(kA, 2, 2*time.Second)} }() // 2 waits for 1: cycle
-
-	var deadlocks, grants int
-	for i := 0; i < 2; i++ {
-		o := <-errs
-		switch {
-		case o.err == nil:
-			grants++
-		case errors.Is(o.err, base.ErrDeadlock):
-			deadlocks++
-			// The victim aborts, releasing what it holds so the survivor's
-			// pending request can be granted.
-			lt.ReleaseAll(o.xid)
-		default:
-			t.Fatalf("unexpected error: %v", o.err)
-		}
-	}
-	if deadlocks == 0 {
-		t.Fatal("cross-stripe deadlock went undetected")
-	}
-	if deadlocks+grants != 2 {
-		t.Fatalf("deadlocks=%d grants=%d", deadlocks, grants)
+	younger := waitsFor(t, func() error { return lt.Acquire(kA, 2, at(2), 2*time.Second) })
+	failsAtOnce(t, func() error { return lt.Acquire(kB, 1, at(1), 2*time.Second) })
+	lt.ReleaseAll(1)
+	if err := <-younger; err != nil {
+		t.Fatalf("younger requester = %v", err)
 	}
 }
 
-// TestDeadlockThreeTxnCycle closes a three-transaction cycle spanning three
-// stripes; exactly the cycle-closing request must be the victim.
+// TestDeadlockThreeTxnCycle builds the waits of a three-transaction cycle
+// across three stripes in the order that lets the most of it form: the
+// youngest two wait on their elders, and the one request that would close
+// the cycle comes from the oldest transaction, which fails at once.
 func TestDeadlockThreeTxnCycle(t *testing.T) {
 	lt := NewLockTable()
 	keys := keysOnDistinctStripes(t, lt, 3)
 	for i, k := range keys {
-		if err := lt.Acquire(k, base.XID(i+1), 0); err != nil {
+		if err := lt.Acquire(k, base.XID(i+1), at(base.Timestamp(i+1)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 1 → keys[1] (owner 2), 2 → keys[2] (owner 3): chains, no cycle yet.
-	// Each waiter "commits" on grant — releases everything it holds — so the
-	// victim's abort unwinds the whole chain.
+	// 3 → keys[1] (owner 2), 2 → keys[0] (owner 1): younger waits on older.
+	// Each waiter "commits" on grant, releasing everything it holds.
 	var wg sync.WaitGroup
 	for _, w := range []struct {
 		xid base.XID
 		key base.Key
-	}{{1, keys[1]}, {2, keys[2]}} {
+	}{{3, keys[1]}, {2, keys[0]}} {
 		wg.Add(1)
-		go func(xid base.XID, key base.Key) {
+		res := waitsFor(t, func() error { return lt.Acquire(w.key, w.xid, at(base.Timestamp(w.xid)), 5*time.Second) })
+		go func(xid base.XID) {
 			defer wg.Done()
-			if err := lt.Acquire(key, xid, 5*time.Second); err != nil {
+			if err := <-res; err != nil {
 				t.Errorf("xid %v: %v", xid, err)
 				return
 			}
 			lt.ReleaseAll(xid)
-		}(w.xid, w.key)
+		}(w.xid)
 	}
-	time.Sleep(30 * time.Millisecond)
-	// 3 → keys[0] (owner 1) closes the cycle; 3 must be the victim.
-	err := lt.Acquire(keys[0], 3, 5*time.Second)
-	if !errors.Is(err, base.ErrDeadlock) {
-		t.Fatalf("cycle-closing acquire got %v, want ErrDeadlock", err)
-	}
-	// Victim aborts: keys[2] hands to xid 2, which then releases keys[1] to
-	// xid 1, draining the chain.
-	lt.ReleaseAll(3)
+	// 1 → keys[2] (owner 3) would close the cycle; 1 is oldest and fails.
+	failsAtOnce(t, func() error { return lt.Acquire(keys[2], 1, at(1), 5*time.Second) })
+	// 1 rolls back: keys[0] goes to 2, whose commit hands keys[1] to 3.
+	lt.ReleaseAll(1)
 	wg.Wait()
 }
 
 // TestNoFalseDeadlockAcrossStripes runs many disjoint waiter pairs on
-// different stripes; none may be declared a deadlock victim.
+// different stripes, each waiter younger than its holder; none may fail.
 func TestNoFalseDeadlockAcrossStripes(t *testing.T) {
 	lt := NewLockTable()
 	keys := keysOnDistinctStripes(t, lt, 8)
@@ -126,13 +98,13 @@ func TestNoFalseDeadlockAcrossStripes(t *testing.T) {
 	for i, k := range keys {
 		holder := base.XID(100 + i)
 		waiter := base.XID(200 + i)
-		if err := lt.Acquire(k, holder, 0); err != nil {
+		if err := lt.Acquire(k, holder, at(base.Timestamp(holder)), 0); err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(k base.Key, waiter base.XID) {
 			defer wg.Done()
-			if err := lt.Acquire(k, waiter, 5*time.Second); err != nil {
+			if err := lt.Acquire(k, waiter, at(base.Timestamp(waiter)), 5*time.Second); err != nil {
 				t.Errorf("waiter %v: %v", waiter, err)
 			}
 		}(k, waiter)
@@ -155,7 +127,7 @@ func TestStripeCollisionCounter(t *testing.T) {
 	lt := NewLockTable()
 	for i := 0; i < 100; i++ {
 		k := base.Key(fmt.Sprintf("solo-%d", i))
-		if err := lt.Acquire(k, 1, 0); err != nil {
+		if err := lt.Acquire(k, 1, Order{}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +143,7 @@ func TestStripeCollisionCounter(t *testing.T) {
 		go func(xid base.XID) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if err := lt.Acquire("hot", xid, 5*time.Second); err != nil {
+				if err := lt.Acquire("hot", xid, Order{}, 5*time.Second); err != nil {
 					t.Errorf("xid %v: %v", xid, err)
 					return
 				}

@@ -3,6 +3,7 @@ package mvcc
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 func TestLockAcquireRelease(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if lt.Owner("k") != 1 {
@@ -26,10 +27,10 @@ func TestLockAcquireRelease(t *testing.T) {
 
 func TestLockReentrant(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	lt.Release("k", 1)
@@ -44,12 +45,12 @@ func TestLockReentrant(t *testing.T) {
 
 func TestLockBlocksAndHandsOver(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		if err := lt.Acquire("k", 2, 0); err != nil {
+		if err := lt.Acquire("k", 2, Order{}, 0); err != nil {
 			t.Error(err)
 		}
 		close(acquired)
@@ -72,14 +73,14 @@ func TestLockBlocksAndHandsOver(t *testing.T) {
 
 func TestLockFIFO(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	order := make(chan base.XID, 2)
 	var ready sync.WaitGroup
 	start := func(xid base.XID) {
 		ready.Done()
-		if err := lt.Acquire("k", xid, 0); err != nil {
+		if err := lt.Acquire("k", xid, Order{}, 0); err != nil {
 			t.Error(err)
 			return
 		}
@@ -96,7 +97,7 @@ func TestLockFIFO(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	lt.Release("k", 1)
 	if first := <-order; first != 2 {
-		t.Errorf("first grant to %v, want 2 (FIFO)", first)
+		t.Errorf("first grant to %v, want 2 (unordered waiters are FIFO)", first)
 	}
 	if second := <-order; second != 3 {
 		t.Errorf("second grant to %v, want 3", second)
@@ -105,10 +106,10 @@ func TestLockFIFO(t *testing.T) {
 
 func TestLockTimeout(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := lt.Acquire("k", 2, 20*time.Millisecond)
+	err := lt.Acquire("k", 2, Order{}, 20*time.Millisecond)
 	if !errors.Is(err, base.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
 	}
@@ -122,7 +123,7 @@ func TestLockTimeout(t *testing.T) {
 func TestReleaseAll(t *testing.T) {
 	lt := NewLockTable()
 	for _, k := range []base.Key{"a", "b", "c"} {
-		if err := lt.Acquire(k, 7, 0); err != nil {
+		if err := lt.Acquire(k, 7, Order{}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,10 +143,10 @@ func TestReleaseAll(t *testing.T) {
 
 func TestReleaseAllWakesWaiters(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("a", 1, 0); err != nil {
+	if err := lt.Acquire("a", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Acquire("b", 1, 0); err != nil {
+	if err := lt.Acquire("b", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -153,7 +154,7 @@ func TestReleaseAllWakesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := lt.Acquire(k, 2, time.Second); err != nil {
+			if err := lt.Acquire(k, 2, Order{}, time.Second); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -168,7 +169,7 @@ func TestReleaseAllWakesWaiters(t *testing.T) {
 
 func TestReleaseByNonOwnerIgnored(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("k", 1, 0); err != nil {
+	if err := lt.Acquire("k", 1, Order{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	lt.Release("k", 2) // not the owner
@@ -188,7 +189,7 @@ func TestLockContentionStress(t *testing.T) {
 		go func(xid base.XID) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if err := lt.Acquire("hot", xid, time.Minute); err != nil {
+				if err := lt.Acquire("hot", xid, Order{}, time.Minute); err != nil {
 					t.Error(err)
 					return
 				}
@@ -203,84 +204,197 @@ func TestLockContentionStress(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetectedABBA(t *testing.T) {
+// TestWaitDieTransfersNeverTimeOut runs transfers that lock two of four
+// keys in either order, retrying with a fresh start timestamp when wait-die
+// fails them. Under the rule no wait may form a cycle, so none may time out,
+// and the exclusive sections must never overlap.
+func TestWaitDieTransfersNeverTimeOut(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("a", 1, 0); err != nil {
-		t.Fatal(err)
+	keys := keysOnDistinctStripes(t, lt, 4)
+	var clock atomic.Uint64
+	var holders [4]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(xid base.XID) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				from, to := (int(xid)+j)%4, (int(xid)*3+j*7+1)%4
+				if from == to {
+					continue
+				}
+				for {
+					ord := at(base.Timestamp(clock.Add(1)))
+					err := lt.Acquire(keys[from], xid, ord, 2*time.Second)
+					if err == nil {
+						err = lt.Acquire(keys[to], xid, ord, 2*time.Second)
+					}
+					if err == nil {
+						for _, k := range []int{from, to} {
+							if holders[k].Add(1) != 1 {
+								t.Errorf("key %d held twice", k)
+							}
+						}
+						holders[from].Add(-1)
+						holders[to].Add(-1)
+					}
+					lt.ReleaseAll(xid)
+					if err == nil {
+						break
+					}
+					if errors.Is(err, base.ErrTimeout) || !errors.Is(err, base.ErrWWConflict) {
+						t.Errorf("xid %v: %v", xid, err)
+						return
+					}
+				}
+			}
+		}(base.XID(w + 1))
 	}
-	if err := lt.Acquire("b", 2, 0); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+}
+
+// at ranks a requester by start timestamp alone.
+func at(ts base.Timestamp) Order { return Order{StartTS: ts} }
+
+// waitsFor asserts that an acquire stays blocked for a while, and returns
+// its eventual outcome.
+func waitsFor(t *testing.T, acquire func() error) <-chan error {
+	t.Helper()
+	res := make(chan error, 1)
+	go func() { res <- acquire() }()
+	select {
+	case err := <-res:
+		t.Fatalf("acquire returned %v, want it to wait", err)
+	case <-time.After(10 * time.Millisecond):
 	}
-	// Txn 1 blocks on b (held by 2).
-	blocked := make(chan error, 1)
-	go func() { blocked <- lt.Acquire("b", 1, time.Minute) }()
-	time.Sleep(10 * time.Millisecond)
-	// Txn 2 requesting a would close the cycle: immediate deadlock error,
-	// long before any timeout.
+	return res
+}
+
+// failsAtOnce asserts that an acquire fails with a serialization failure
+// well before any timeout.
+func failsAtOnce(t *testing.T, acquire func() error) {
+	t.Helper()
 	start := time.Now()
-	err := lt.Acquire("a", 2, time.Minute)
-	if !errors.Is(err, base.ErrDeadlock) {
-		t.Fatalf("err = %v, want deadlock", err)
+	err := acquire()
+	if !errors.Is(err, base.ErrWWConflict) || errors.Is(err, base.ErrTimeout) {
+		t.Fatalf("err = %v, want an immediate ww-conflict", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("deadlock detection took too long")
-	}
-	// The victim (txn 2) releases its locks; txn 1 proceeds.
-	lt.ReleaseAll(2)
-	if err := <-blocked; err != nil {
-		t.Fatalf("survivor's acquire = %v", err)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("older requester took %v to fail", d)
 	}
 }
 
+func TestLockOrderRanks(t *testing.T) {
+	for _, c := range []struct {
+		a, b lockReq
+		want bool
+	}{
+		{lockReq{9, at(1)}, lockReq{1, at(2)}, true}, // start timestamp first
+		{lockReq{1, at(2)}, lockReq{9, at(1)}, false},
+		{lockReq{9, Order{5, 1}}, lockReq{1, Order{5, 2}}, true}, // then global txn id
+		{lockReq{1, Order{5, 2}}, lockReq{9, Order{5, 1}}, false},
+		{lockReq{1, Order{5, 3}}, lockReq{2, Order{5, 3}}, true}, // then local xid
+		{lockReq{2, Order{5, 3}}, lockReq{1, Order{5, 3}}, false},
+		{lockReq{1, Order{}}, lockReq{2, at(5)}, false}, // unordered on either side
+		{lockReq{1, at(5)}, lockReq{2, Order{}}, false},
+	} {
+		if got := c.a.olderThan(c.b); got != c.want {
+			t.Errorf("%+v older than %+v = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestLockHandsOverToOldestWaiter pins oldest-first hand-over. A FIFO
+// hand-over would grant xid 2 (queued first), leaving the older xid 3
+// waiting on a younger owner — the one edge that lets a cycle form.
+func TestLockHandsOverToOldestWaiter(t *testing.T) {
+	lt := NewLockTable()
+	if err := lt.Acquire("k", 1, at(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	second := waitsFor(t, func() error { return lt.Acquire("k", 2, at(30), time.Second) })
+	third := waitsFor(t, func() error { return lt.Acquire("k", 3, at(20), time.Second) })
+	lt.ReleaseAll(1)
+	if err := <-third; err != nil {
+		t.Fatal(err)
+	}
+	if owner := lt.Owner("k"); owner != 3 {
+		t.Fatalf("owner after hand-over = %v, want the oldest waiter 3", owner)
+	}
+	// The younger waiter keeps waiting on its new, older owner.
+	select {
+	case err := <-second:
+		t.Fatalf("younger waiter returned %v while the lock is owned", err)
+	default:
+	}
+	lt.ReleaseAll(3)
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadlockDetectedABBA: two transactions locking a and b in opposite
+// orders cannot deadlock. The older requester fails at once; the younger
+// waits and is granted once the older one rolls back.
+func TestDeadlockDetectedABBA(t *testing.T) {
+	lt := NewLockTable()
+	if err := lt.Acquire("a", 1, at(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.Acquire("b", 2, at(2), 0); err != nil {
+		t.Fatal(err)
+	}
+	younger := waitsFor(t, func() error { return lt.Acquire("a", 2, at(2), time.Minute) })
+	failsAtOnce(t, func() error { return lt.Acquire("b", 1, at(1), time.Minute) })
+	lt.ReleaseAll(1)
+	if err := <-younger; err != nil {
+		t.Fatalf("younger requester = %v", err)
+	}
+}
+
+// TestDeadlockDetectedThreeWayCycle: of the three requests that would close
+// a three-transaction cycle, the two from older requesters fail at once, so
+// no cycle forms; the youngest waits and is granted.
 func TestDeadlockDetectedThreeWayCycle(t *testing.T) {
 	lt := NewLockTable()
 	for i, k := range []base.Key{"a", "b", "c"} {
-		if err := lt.Acquire(k, base.XID(i+1), 0); err != nil {
+		if err := lt.Acquire(k, base.XID(i+1), at(base.Timestamp(i+1)), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- lt.Acquire("b", 1, time.Minute) }() // 1 -> 2
-	time.Sleep(10 * time.Millisecond)
-	go func() { errs <- lt.Acquire("c", 2, time.Minute) }() // 2 -> 3
-	time.Sleep(10 * time.Millisecond)
-	// 3 -> 1 closes the cycle.
-	if err := lt.Acquire("a", 3, time.Minute); !errors.Is(err, base.ErrDeadlock) {
-		t.Fatalf("err = %v, want deadlock", err)
-	}
-	lt.ReleaseAll(3) // victim rolls back: 2 gets c, finishes, 1 gets b
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	lt.ReleaseAll(2)
-	if err := <-errs; err != nil {
+	failsAtOnce(t, func() error { return lt.Acquire("b", 1, at(1), time.Minute) }) // 1 -> 2
+	failsAtOnce(t, func() error { return lt.Acquire("c", 2, at(2), time.Minute) }) // 2 -> 3
+	youngest := waitsFor(t, func() error { return lt.Acquire("a", 3, at(3), time.Minute) })
+	lt.ReleaseAll(1)
+	if err := <-youngest; err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestNoFalseDeadlockOnChains: a chain of younger requesters behind an older
+// owner waits without aborting and drains in age order.
 func TestNoFalseDeadlockOnChains(t *testing.T) {
 	lt := NewLockTable()
-	if err := lt.Acquire("a", 1, 0); err != nil {
+	if err := lt.Acquire("a", 1, at(1), 0); err != nil {
 		t.Fatal(err)
 	}
-	// 2 waits for a; 3 requesting a is a chain, not a cycle.
-	go func() { _ = lt.Acquire("a", 2, time.Minute) }()
-	time.Sleep(10 * time.Millisecond)
-	done := make(chan error, 1)
-	go func() { done <- lt.Acquire("a", 3, time.Minute) }()
-	time.Sleep(10 * time.Millisecond)
+	second := waitsFor(t, func() error { return lt.Acquire("a", 2, at(2), time.Minute) })
+	third := waitsFor(t, func() error { return lt.Acquire("a", 3, at(3), time.Minute) })
 	lt.ReleaseAll(1)
-	time.Sleep(10 * time.Millisecond)
+	if err := <-second; err != nil {
+		t.Fatalf("chain waiter 2 got %v", err)
+	}
 	lt.ReleaseAll(2)
-	if err := <-done; err != nil {
-		t.Fatalf("chain waiter got %v", err)
+	if err := <-third; err != nil {
+		t.Fatalf("chain waiter 3 got %v", err)
 	}
 }
 
 func TestDeadlockVictimTxnLevel(t *testing.T) {
-	// End-to-end through the store: two transactions updating (k1,k2) in
-	// opposite orders; one must fail fast with a deadlock-classified
-	// ww-conflict, the other commits.
+	// End-to-end through the store: two transactions with one start
+	// timestamp update (k1,k2) in opposite orders. The tie breaks by xid:
+	// xid 11 is older, so its request for k2 fails at once with a
+	// ww-conflict, and xid 12 waits for k1 and commits after 11 aborts.
 	cl := clog.New()
 	cl.Begin(FrozenXID)
 	if err := cl.SetCommitted(FrozenXID, base.TsBootstrap); err != nil {
@@ -308,22 +422,19 @@ func TestDeadlockVictimTxnLevel(t *testing.T) {
 	if err := st.Write(WriteReq{Kind: WriteUpdate, Key: "k2", Value: base.Value("b"), XID: 12, StartTS: 10}); err != nil {
 		t.Fatal(err)
 	}
-	res := make(chan error, 1)
-	go func() {
-		res <- st.Write(WriteReq{Kind: WriteUpdate, Key: "k2", Value: base.Value("a2"), XID: 11, StartTS: 10})
-	}()
-	time.Sleep(10 * time.Millisecond)
-	err2 := st.Write(WriteReq{Kind: WriteUpdate, Key: "k1", Value: base.Value("b2"), XID: 12, StartTS: 10})
-	if !errors.Is(err2, base.ErrDeadlock) {
-		t.Fatalf("second writer = %v, want deadlock", err2)
-	}
-	// Victim aborts; survivor's blocked write proceeds.
-	cl.SetAborted(12)
-	st.ReleaseLocks(12)
+	res := waitsFor(t, func() error {
+		return st.Write(WriteReq{Kind: WriteUpdate, Key: "k1", Value: base.Value("b2"), XID: 12, StartTS: 10})
+	})
+	failsAtOnce(t, func() error {
+		return st.Write(WriteReq{Kind: WriteUpdate, Key: "k2", Value: base.Value("a2"), XID: 11, StartTS: 10})
+	})
+	// The older transaction aborts; the younger one's blocked write proceeds.
+	cl.SetAborted(11)
+	st.ReleaseLocks(11)
 	if err := <-res; err != nil {
 		t.Fatalf("survivor write = %v", err)
 	}
-	cl.SetPrepared(11)
-	cl.SetCommitted(11, 20)
-	st.ReleaseLocks(11)
+	cl.SetPrepared(12)
+	cl.SetCommitted(12, 20)
+	st.ReleaseLocks(12)
 }

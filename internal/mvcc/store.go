@@ -5,6 +5,7 @@
 package mvcc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,9 @@ func (k WriteKind) String() string {
 
 // Config tunes a store.
 type Config struct {
-	// LockTimeout bounds row-lock waits; zero means wait forever.
+	// LockTimeout bounds a row-lock wait on a holder that never finishes
+	// (a lost holder); zero means wait forever. Wait-die ordering, not the
+	// timeout, resolves deadlocks.
 	LockTimeout time.Duration
 	// PrepareWaitTimeout bounds prepare-wait during visibility checks.
 	PrepareWaitTimeout time.Duration
@@ -257,18 +260,21 @@ func (s *Store) ReadVersion(key base.Key, snap base.Timestamp, selfXID base.XID)
 // WriteReq describes one tuple mutation. Ref, when set, is the writing
 // transaction's CLOG handle and is cached on the created version so later
 // visibility checks resolve it lock-free; a nil Ref is looked up once here.
+// StartTS, Txn and XID rank the row-lock request (Order).
 type WriteReq struct {
 	Kind    WriteKind
 	Key     base.Key
 	Value   base.Value
 	XID     base.XID
+	Txn     base.TxnID
 	StartTS base.Timestamp
 	Ref     *clog.Ref
 }
 
 // Write performs a mutation with first-updater-wins conflict detection:
 //
-//  1. take the row lock (blocking on concurrent writers);
+//  1. take the row lock: wait for a concurrent writer that is older, fail at
+//     once on one that is younger (LockTable);
 //  2. find the latest non-aborted version; if it committed after the
 //     writer's snapshot, fail with ErrWWConflict (§3.5.2 uses exactly this
 //     check to validate propagated changes on the destination);
@@ -276,11 +282,13 @@ type WriteReq struct {
 //
 // The row lock stays held until ReleaseLocks(xid).
 func (s *Store) Write(req WriteReq) (err error) {
-	if err := s.locks.Acquire(req.Key, req.XID, s.cfg.LockTimeout); err != nil {
-		// Both a lock timeout and a detected deadlock surface as
-		// serialization failures; the dual %w keeps the specific cause
-		// (ErrTimeout / ErrDeadlock) inspectable.
-		return fmt.Errorf("%w: %w", base.ErrWWConflict, err)
+	if err := s.locks.Acquire(req.Key, req.XID, Order{StartTS: req.StartTS, Txn: req.Txn}, s.cfg.LockTimeout); err != nil {
+		if !errors.Is(err, base.ErrWWConflict) {
+			// A lock timeout is a serialization failure too; the dual %w
+			// keeps ErrTimeout inspectable.
+			err = fmt.Errorf("%w: %w", base.ErrWWConflict, err)
+		}
+		return err
 	}
 	// A failed statement must not retain the lock level it just took: the
 	// transaction will abort, but other writers would otherwise stall on a

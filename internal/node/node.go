@@ -125,20 +125,7 @@ type Node struct {
 	// holds pins WAL positions against checkpoints (see checkpoint.go).
 	holds walHolds
 
-	// hotStats remembers the last published hot-path stat totals so
-	// PublishHotPathStats can emit deltas into the additive recorder.
-	hotStatsMu   sync.Mutex
-	hotStatsPrev hotPathTotals
-
 	Counters Counters
-}
-
-// hotPathTotals aggregates the monotonic de-serialization counters of every
-// local store (see DESIGN §10).
-type hotPathTotals struct {
-	lockFreeResolves uint64
-	stripeCollisions uint64
-	arraySwaps       uint64
 }
 
 // SetOpsLimit bounds the node's foreground statement rate (0 = unlimited).
@@ -593,77 +580,3 @@ func (n *Node) WriteMapRow(t *txn.Txn, d shard.Desc) error {
 
 // MapStore exposes the shard map store (tests).
 func (n *Node) MapStore() *mvcc.Store { return n.mapStore }
-
-// ---------------------------------------------------------------------------
-// Maintenance.
-
-// Vacuum prunes version chains on every local shard using the node's oldest
-// active snapshot as the horizon. Returns reclaimed version count.
-func (n *Node) Vacuum() int {
-	horizon := n.mgr.OldestActiveStartTS()
-	if horizon == base.TsMax {
-		horizon = n.oracle.Now()
-	}
-	n.mu.RLock()
-	stores := make([]*mvcc.Store, 0, len(n.shards))
-	for _, st := range n.shards {
-		stores = append(stores, st.store)
-	}
-	n.mu.RUnlock()
-	total := 0
-	for _, s := range stores {
-		total += s.Vacuum(horizon)
-	}
-	n.PublishHotPathStats()
-	return total
-}
-
-// PublishHotPathStats flushes the delta of the stores' hot-path counters
-// (lock-free CLOG resolves, lock-table stripe collisions, version-array
-// swaps) into the installed recorder. The stores keep cheap monotonic totals
-// off the hot path; this method bridges them into the additive obs counters.
-// Called from Vacuum, so any maintenance cadence also publishes stats; safe
-// to call directly (no-op without a recorder).
-func (n *Node) PublishHotPathStats() {
-	r := n.mgr.Recorder()
-	if r == nil {
-		return
-	}
-	var cur hotPathTotals
-	n.mu.RLock()
-	for _, st := range n.shards {
-		cur.lockFreeResolves += st.store.LockFreeResolves()
-		cur.stripeCollisions += st.store.LockStripeCollisions()
-		cur.arraySwaps += st.store.VersionArraySwaps()
-	}
-	n.mu.RUnlock()
-	cur.lockFreeResolves += n.mapStore.LockFreeResolves()
-	cur.stripeCollisions += n.mapStore.LockStripeCollisions()
-	cur.arraySwaps += n.mapStore.VersionArraySwaps()
-
-	n.hotStatsMu.Lock()
-	prev := n.hotStatsPrev
-	// Shard drops (migration retire) can shrink the totals; clamp deltas at
-	// zero rather than publish wrapped uints.
-	if cur.lockFreeResolves < prev.lockFreeResolves {
-		prev.lockFreeResolves = cur.lockFreeResolves
-	}
-	if cur.stripeCollisions < prev.stripeCollisions {
-		prev.stripeCollisions = cur.stripeCollisions
-	}
-	if cur.arraySwaps < prev.arraySwaps {
-		prev.arraySwaps = cur.arraySwaps
-	}
-	n.hotStatsPrev = cur
-	n.hotStatsMu.Unlock()
-
-	if d := cur.lockFreeResolves - prev.lockFreeResolves; d > 0 {
-		r.Add(obs.CtrClogLockFreeResolves, d)
-	}
-	if d := cur.stripeCollisions - prev.stripeCollisions; d > 0 {
-		r.Add(obs.CtrLockStripeCollisions, d)
-	}
-	if d := cur.arraySwaps - prev.arraySwaps; d > 0 {
-		r.Add(obs.CtrVersionArraySwaps, d)
-	}
-}

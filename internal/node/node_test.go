@@ -7,7 +7,6 @@ import (
 	"remus/internal/base"
 	"remus/internal/clock"
 	"remus/internal/mvcc"
-	"remus/internal/obs"
 	"remus/internal/shard"
 	"remus/internal/simnet"
 	"remus/internal/txn"
@@ -240,27 +239,6 @@ func TestScan(t *testing.T) {
 	tx2.Abort()
 }
 
-func TestVacuum(t *testing.T) {
-	n := newNode(t, 1)
-	n.AddShard(10, 1, PhaseOwned)
-	for i := 0; i < 3; i++ {
-		tx := n.Manager().Begin(0, 0)
-		kind := mvcc.WriteUpdate
-		if i == 0 {
-			kind = mvcc.WriteInsert
-		}
-		if err := n.Write(tx, 10, kind, "k", base.Value("v")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n.Vacuum() != 2 {
-		t.Error("vacuum did not reclaim shadowed versions")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	n := newNode(t, 1)
 	n.AddShard(10, 1, PhaseOwned)
@@ -304,51 +282,3 @@ func TestAddShardIdempotentAdoptsPhase(t *testing.T) {
 // their deltas into the recorder. Pin that plumbing: traffic on the node
 // must surface as positive counter values after a vacuum, and a second
 // vacuum with no traffic must not double-count.
-func TestVacuumPublishesHotPathStats(t *testing.T) {
-	n := newNode(t, 1)
-	n.AddShard(10, 1, PhaseOwned)
-	tr := obs.NewTrace()
-	n.SetRecorder(tr)
-
-	for i := 0; i < 8; i++ {
-		tx := n.Manager().Begin(0, 0)
-		key := base.Key([]byte{'k', byte(i)})
-		if err := n.Write(tx, 10, mvcc.WriteInsert, key, base.Value("v")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		rd := n.Manager().Begin(0, 0)
-		if _, err := n.Get(rd, 10, key); err != nil {
-			t.Fatal(err)
-		}
-		rd.Abort()
-	}
-	n.Vacuum()
-
-	swaps := tr.Counter(obs.CtrVersionArraySwaps)
-	if swaps < 8 {
-		t.Fatalf("version_array_swaps = %d, want >= 8", swaps)
-	}
-	lockfree := tr.Counter(obs.CtrClogLockFreeResolves)
-	if lockfree == 0 {
-		t.Fatal("clog_lockfree_resolves = 0, want > 0")
-	}
-
-	// Idle vacuums: no writes, so no new array swaps — the swap counter must
-	// hold exactly (a growing value here would mean the flush re-adds totals
-	// instead of deltas). The resolve counter does keep growing, because the
-	// vacuum walk itself resolves every version it inspects; delta-correctness
-	// shows as a *constant* per-vacuum increment, not a compounding one.
-	n.Vacuum()
-	if got := tr.Counter(obs.CtrVersionArraySwaps); got != swaps {
-		t.Fatalf("version_array_swaps after idle vacuum = %d, want %d (no double count)", got, swaps)
-	}
-	d1 := tr.Counter(obs.CtrClogLockFreeResolves) - lockfree
-	n.Vacuum()
-	d2 := tr.Counter(obs.CtrClogLockFreeResolves) - lockfree - d1
-	if d2 != d1 {
-		t.Fatalf("idle vacuum resolve deltas %d then %d, want equal (no compounding)", d1, d2)
-	}
-}

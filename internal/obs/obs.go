@@ -181,15 +181,6 @@ const (
 	// CtrHWMPersists counts durable high-water-mark writes by the replicated
 	// oracle (the persist-before-grant fsyncs; leasing amortizes these).
 	CtrHWMPersists
-	// CtrClogLockFreeResolves counts MVCC visibility resolutions answered by
-	// a cached CLOG Ref's packed word (one atomic load, no table probe).
-	CtrClogLockFreeResolves
-	// CtrLockStripeCollisions counts contended fast-path acquisitions of
-	// lock-table stripe mutexes (TryLock failed, fell back to Lock).
-	CtrLockStripeCollisions
-	// CtrVersionArraySwaps counts copy-on-write version-array publications
-	// (one per installed version, plus one per pruned chain).
-	CtrVersionArraySwaps
 
 	// NumCounters bounds the counter array.
 	NumCounters
@@ -236,9 +227,6 @@ var counterNames = [NumCounters]string{
 	CtrOracleFailovers:      "oracle_failovers_total",
 	CtrLeaseFenceRejections: "lease_fence_rejections",
 	CtrHWMPersists:          "oracle_hwm_persists",
-	CtrClogLockFreeResolves: "clog_lockfree_resolves",
-	CtrLockStripeCollisions: "lock_stripe_collisions",
-	CtrVersionArraySwaps:    "version_array_swaps",
 }
 
 // String returns the counter's snake_case name.

@@ -507,7 +507,7 @@ func (t *Txn) Write(store *mvcc.Store, table base.TableID, shardID base.ShardID,
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
-	err := store.Write(mvcc.WriteReq{Kind: kind, Key: key, Value: value, XID: t.XID, StartTS: t.StartTS, Ref: t.ref})
+	err := store.Write(mvcc.WriteReq{Kind: kind, Key: key, Value: value, XID: t.XID, Txn: t.GlobalID, StartTS: t.StartTS, Ref: t.ref})
 	if err != nil {
 		return err
 	}
